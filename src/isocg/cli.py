@@ -31,7 +31,7 @@ from .errors import (
     UnknownMachineError,
 )
 from .faults import FaultPolicy
-from .linalg import as_square_matrix, as_vector, gemv, gen_spd_diag_dominant
+from .linalg import PreparedMatrix, as_square_matrix, as_vector, gemv, gen_spd_diag_dominant
 from .machine import default_data_dir, load_sampleset
 from .solvers import SolveConfig, cg_solve, sscg_solve
 
@@ -75,14 +75,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _load_system(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _load_system(path: str) -> tuple[PreparedMatrix, np.ndarray]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliDataError(EXIT_NOINPUT, f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-        a = as_square_matrix(doc["A"])
+        a = PreparedMatrix(as_square_matrix(doc["A"]))
         b = as_vector(doc["b"]) if "b" in doc else gemv(a, np.ones(a.shape[0]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _CliDataError(EXIT_DATAERR, f"bad system file {path}: {exc}") from exc
@@ -93,7 +93,8 @@ def _load_system(path: str) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _build_problem(args) -> tuple[np.ndarray, np.ndarray]:
+def _build_problem(args) -> tuple[PreparedMatrix, np.ndarray]:
+    """The system to solve, with A prepared once for the right-hand side and every solve."""
     if args.matrix is not None:
         a, b = _load_system(args.matrix)
         if args.size is not None and args.size != a.shape[0]:
@@ -102,7 +103,7 @@ def _build_problem(args) -> tuple[np.ndarray, np.ndarray]:
                 f"--size {args.size} does not match the {a.shape[0]}x{a.shape[1]} system in {args.matrix}",
             )
         return a, b
-    a = gen_spd_diag_dominant(args.size, args.seed)
+    a = PreparedMatrix(gen_spd_diag_dominant(args.size, args.seed))
     # Deterministic right-hand side with known solution x = 1.
     return a, gemv(a, np.ones(args.size))
 
@@ -353,7 +354,7 @@ def _cmd_ets(args) -> int:
     hybrid = template.with_clusters(report.cluster_count)
 
     # Work for the modelled problem: a fault-free solve fixes the iteration count.
-    a = gen_spd_diag_dominant(args.size, args.seed)
+    a = PreparedMatrix(gen_spd_diag_dominant(args.size, args.seed))
     b = gemv(a, np.ones(args.size))
     _, solve_report = cg_solve(a, b, SolveConfig())
     flops_total = solve_report.flops

@@ -14,6 +14,9 @@ into the matrix-vector product cannot derail convergence:
   because a corrupted recurrence can pass the test while the true residual
   is still large.
 
+Both solvers accept A as an array or as a :class:`~isocg.linalg.PreparedMatrix`
+and prepare it once per solve, so every product reuses one column layout.
+
 Flop accounting covers the matrix-vector products only (2*n*n each); the
 O(n) vector operations are deliberately ignored so that a plain solve
 reports exactly ``iterations * 2 * n * n`` flops.
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SolverDivergedError
 from .faults import FaultEvent, FaultInjector, FaultPolicy
-from .linalg import FlopCounter, as_square_matrix, as_vector, dot, gemv
+from .linalg import FlopCounter, PreparedMatrix, as_vector, dot, gemv
 
 __all__ = ["SolveConfig", "SolveReport", "cg_solve", "sscg_solve"]
 
@@ -65,8 +68,10 @@ class SolveReport:
     rng_algorithm: str | None = None
 
 
-def _check_system(a, b) -> tuple[np.ndarray, np.ndarray]:
-    m = as_square_matrix(a)
+def _check_system(a, b) -> tuple[PreparedMatrix, np.ndarray]:
+    m = PreparedMatrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     v = as_vector(b)
     if v.size != m.shape[0]:
         raise DimensionMismatchError(

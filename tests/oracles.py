@@ -35,6 +35,15 @@ def left_fold_gemv(a, v) -> np.ndarray:
     return np.array(out)
 
 
+def diag_dominant_matrix(n: int, seed: int) -> np.ndarray:
+    """The diagonally dominant generator's matrix, built from whole-matrix temporaries."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)), 1)
+    a = upper + upper.T
+    np.fill_diagonal(a, a.sum(axis=1) + 1.0)
+    return a
+
+
 def solve_2x2(a, b):
     """Direct inverse of a 2x2 system."""
     (a11, a12), (a21, a22) = a

@@ -16,8 +16,13 @@ from isocg import (
     gen_spd_spectrum,
     norm2,
 )
+from isocg.linalg import PreparedMatrix
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 class TestGemv:
@@ -66,6 +71,70 @@ class TestGemv:
         rhs = gemv(a, u) + gemv(a, v)
         scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
+
+
+class TestBlockedGemv:
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (63, 63), (65, 65), (129, 129), (200, 200), (3, 130), (130, 3)]
+    )
+    def test_block_crossing_shapes_match_left_fold_bitwise(self, rng, shape):
+        a = rng.standard_normal(shape)
+        v = rng.standard_normal(shape[1])
+        assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
+
+    def test_cancelling_row_is_left_folded(self):
+        # 1e16 + 1 rounds back to 1e16, so a left fold drops every 1 that follows
+        # a 1e16 until -1e16 cancels it; a pairwise sum would keep them.
+        a = np.ones((2, 130))
+        a[0, 0] = a[1, 64] = 1e16
+        a[:, -1] = -1e16
+        v = np.ones(130)
+        out = gemv(a, v)
+        assert np.array_equal(bits(out), bits([0.0, 64.0]))
+        assert np.array_equal(bits(out), bits(oracles.left_fold_gemv(a, v)))
+        assert not np.array_equal(out, a.sum(axis=1))
+
+    def test_symmetric_matrix_is_its_own_layout(self):
+        a = gen_spd_diag_dominant(100, 3)
+        assert PreparedMatrix(a).cols is a
+
+    def test_nonsymmetric_matrix_is_transposed(self, rng):
+        a = rng.standard_normal((100, 70))
+        prepared = PreparedMatrix(a)
+        assert prepared.shape == (100, 70)
+        assert prepared.cols.flags.c_contiguous
+        assert np.array_equal(prepared.cols, a.T)
+
+    def test_one_asymmetric_entry_takes_the_copy_path(self):
+        a = gen_spd_diag_dominant(130, 3)
+        a[129, 0] += 1.0
+        assert PreparedMatrix(a).cols is not a
+        assert np.array_equal(PreparedMatrix(a).cols, a.T)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: gen_spd_diag_dominant(150, 2),
+            lambda rng: gen_spd_spectrum(np.logspace(0, 3, 150), 2),
+            lambda rng: rng.standard_normal((150, 80)),
+        ],
+        ids=["symmetric", "spectrum", "rectangular"],
+    )
+    def test_prepared_and_plain_forms_agree_bitwise(self, rng, make):
+        a = make(rng)
+        v = rng.standard_normal(a.shape[1])
+        prepared = PreparedMatrix(a)
+        assert PreparedMatrix(prepared).cols is prepared.cols
+        assert np.array_equal(bits(gemv(prepared, v)), bits(gemv(a, v)))
+        assert np.array_equal(bits(gemv(prepared, v)), bits(oracles.left_fold_gemv(a, v)))
+
+    @settings(max_examples=8, deadline=None)
+    @given(rows=st.integers(1, 300), cols=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_random_shapes_match_left_fold_bitwise(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, cols))
+        v = rng.standard_normal(cols)
+        assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
 
 
 class TestDot:
@@ -147,6 +216,12 @@ class TestDiagDominantGenerator:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             gen_spd_diag_dominant(0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_matches_whole_matrix_formula_bitwise(self, n, seed):
+        got = gen_spd_diag_dominant(n, seed)
+        assert np.array_equal(bits(got), bits(oracles.diag_dominant_matrix(n, seed)))
 
 
 class TestSpectrumGenerator:
