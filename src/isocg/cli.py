@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 solver did not converge, 64 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -61,10 +62,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _CliDataError(Exception):
+class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _settings(make, **fields):
+    """``make(**fields)``, with its ``ValueError`` turned into a usage error (exit 64)."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc)) from exc
 
 
 def _emit_json(doc) -> None:
@@ -79,15 +88,15 @@ def _load_system(path: str) -> tuple[PreparedMatrix, np.ndarray]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _CliDataError(EXIT_NOINPUT, f"cannot read {path}: {exc}") from exc
+        raise _CliError(EXIT_NOINPUT, f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
         a = PreparedMatrix(as_square_matrix(doc["A"]))
         b = as_vector(doc["b"]) if "b" in doc else gemv(a, np.ones(a.shape[0]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise _CliDataError(EXIT_DATAERR, f"bad system file {path}: {exc}") from exc
+        raise _CliError(EXIT_DATAERR, f"bad system file {path}: {exc}") from exc
     if b.size != a.shape[0]:
-        raise _CliDataError(
+        raise _CliError(
             EXIT_DATAERR, f"bad system file {path}: A is {a.shape[0]}x{a.shape[1]} but b has length {b.size}"
         )
     return a, b
@@ -98,7 +107,7 @@ def _build_problem(args) -> tuple[PreparedMatrix, np.ndarray]:
     if args.matrix is not None:
         a, b = _load_system(args.matrix)
         if args.size is not None and args.size != a.shape[0]:
-            raise _CliDataError(
+            raise _CliError(
                 EXIT_DATAERR,
                 f"--size {args.size} does not match the {a.shape[0]}x{a.shape[1]} system in {args.matrix}",
             )
@@ -146,8 +155,8 @@ def _require_problem_source(args) -> None:
 
 def _cmd_solve(args) -> int:
     _require_problem_source(args)
+    cfg = _settings(SolveConfig, tol=args.tol, max_iter=args.max_iter)
     a, b = _build_problem(args)
-    cfg = SolveConfig(tol=args.tol, max_iter=args.max_iter)
     try:
         x, report = cg_solve(a, b, cfg)
     except SolverDivergedError as exc:
@@ -162,18 +171,19 @@ def _cmd_solve(args) -> int:
 
 def _cmd_solve_ss(args) -> int:
     _require_problem_source(args)
-    a, b = _build_problem(args)
     policy = None
-    if args.fault_rate > 0:
-        policy = FaultPolicy(
+    if args.fault_rate != 0:  # a negative or NaN rate reaches FaultPolicy's check
+        policy = _settings(
+            FaultPolicy,
             rate=args.fault_rate,
             flips_per_event=args.flips,
             bit_domain=args.fault_bits.replace("-", "_"),
             seed=args.fault_seed,
         )
-    cfg = SolveConfig(tol=args.tol, max_iter=args.max_iter, ss_period=args.ss_period,
-                      fault_policy=policy)
-    baseline_cfg = SolveConfig(tol=args.tol, max_iter=args.max_iter, ss_period=args.ss_period)
+    baseline_cfg = _settings(SolveConfig, tol=args.tol, max_iter=args.max_iter,
+                             ss_period=args.ss_period)
+    cfg = dataclasses.replace(baseline_cfg, fault_policy=policy)
+    a, b = _build_problem(args)
     try:
         _, baseline = sscg_solve(a, b, baseline_cfg)
         x, report = sscg_solve(a, b, cfg)
@@ -232,7 +242,7 @@ def _load_data(args):
     try:
         return load_sampleset(path)
     except OSError as exc:
-        raise _CliDataError(EXIT_NOINPUT, f"cannot read data set: {exc}") from exc
+        raise _CliError(EXIT_NOINPUT, f"cannot read data set: {exc}") from exc
 
 
 def _print_iso_report(report: iso_mod.IsoReport) -> None:
@@ -332,6 +342,8 @@ def _parse_degradation(value: str) -> list[float]:
 
 def _cmd_ets(args) -> int:
     parser = args.parser
+    if args.size < 1:
+        parser.error(f"--size must be >= 1, got {args.size}")
     mode = _MODE_BY_FLAG[args.mode]
     sset = _load_data(args)
     ref_name, ref_cores, ref_freq = _parse_ref(args.ref, parser, want="full")
@@ -472,7 +484,7 @@ def run(argv=None) -> int:
         parser.error(f"--ss-fraction must lie in (0, 1), got {args.ss_fraction}")
     try:
         return args.func(args)
-    except _CliDataError as exc:
+    except _CliError as exc:
         print(f"isocg: {exc}", file=sys.stderr)
         return exc.code
     except UnknownMachineError as exc:

@@ -16,6 +16,9 @@ into the matrix-vector product cannot derail convergence:
 
 Both solvers accept A as an array or as a :class:`~isocg.linalg.PreparedMatrix`
 and prepare it once per solve, so every product reuses one column layout.
+Each solve runs inside one :func:`~isocg.linalg.unbuffered` scope, entered
+once per solve rather than once per product; the scope changes numpy's
+iteration, not a single bit of the results.
 
 Flop accounting covers the matrix-vector products only (2*n*n each); the
 O(n) vector operations are deliberately ignored so that a plain solve
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SolverDivergedError
 from .faults import FaultEvent, FaultInjector, FaultPolicy
-from .linalg import FlopCounter, PreparedMatrix, as_vector, dot, gemv
+from .linalg import FlopCounter, PreparedMatrix, as_vector, dot, gemv, unbuffered
 
 __all__ = ["SolveConfig", "SolveReport", "cg_solve", "sscg_solve"]
 
@@ -47,7 +50,7 @@ class SolveConfig:
     fault_policy: FaultPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # also rejects NaN
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -85,6 +88,7 @@ def _diverged(message, hist, counter, events, k, x, algorithm):
     return SolverDivergedError(message, report=report, x=x)
 
 
+@unbuffered()
 def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveReport]:
     """Plain Hestenes-Stiefel CG from x0 = 0.
 
@@ -144,6 +148,7 @@ def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveRep
     return x, SolveReport(False, k, hist, counter.total, events, algorithm)
 
 
+@unbuffered()
 def sscg_solve(
     a,
     b,

@@ -260,3 +260,31 @@ class TestSubprocessEntryPoints:
         second = subprocess.run(cmd, capture_output=True, text=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestBadSettings:
+    """Bad solver or fault settings are usage errors: exit 64, one message, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--size", "8", "--tol", "nan"],
+            ["solve-ss", "--size", "8", "--ss-period", "0"],
+            ["solve-ss", "--size", "8", "--fault-rate", "2"],
+            ["solve", "--size", "8", "--max-iter", "0"],
+            ["solve", "--size", "8", "--tol", "-1"],
+            ["solve-ss", "--size", "8", "--fault-rate", "-0.5"],
+            ["solve-ss", "--size", "8", "--fault-rate", "nan"],
+            ["solve-ss", "--size", "8", "--fault-rate", "0.5", "--flips", "100"],
+            ["ets", "--size", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_64_without_traceback(self, argv):
+        result = subprocess.run([sys.executable, "-m", "isocg", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 64, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith("isocg: ")
+        assert result.stdout == ""
+

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from isocg import (
     gen_spd_spectrum,
     norm2,
 )
-from isocg.linalg import PreparedMatrix
+from isocg.linalg import PreparedMatrix, unbuffered
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -136,6 +138,50 @@ class TestBlockedGemv:
         v = rng.standard_normal(cols)
         assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
 
+    @pytest.mark.parametrize("cols", [9, 64, 200])
+    def test_single_row_matches_left_fold_bitwise(self, rng, cols):
+        # numpy drops the length-1 axis of a (k, 1) block, so reducing one would
+        # sum pairwise along the fast axis.
+        a = rng.standard_normal((1, cols))
+        v = rng.standard_normal(cols)
+        assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
+
+    def test_single_cancelling_row_is_left_folded(self):
+        a = np.ones((1, 130))
+        a[0, 0] = 1e16
+        a[0, -1] = -1e16
+        v = np.ones(130)
+        assert np.array_equal(bits(gemv(a, v)), bits([0.0]))
+        assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
+
+
+class TestUnbufferedScope:
+    @pytest.mark.parametrize(
+        "shape", [(1, 9), (1, 200), (2, 130), (65, 65), (129, 200), (300, 257), (257, 300)]
+    )
+    def test_same_bits_inside_and_outside(self, rng, shape):
+        a = rng.standard_normal(shape)
+        v = rng.standard_normal(shape[1])
+        prepared = PreparedMatrix(a)
+        outside = gemv(prepared, v)
+        with unbuffered():
+            inside = gemv(prepared, v)
+        assert np.array_equal(bits(inside), bits(outside))
+        assert np.array_equal(bits(inside), bits(oracles.left_fold_gemv(a, v)))
+
+    def test_scope_restores_buffer_size_and_error_state(self):
+        with np.errstate(over="raise", under="warn"):
+            np.setbufsize(4096)
+            before = np.getbufsize(), np.geterr()
+            with unbuffered():
+                assert np.getbufsize() != 4096
+            assert (np.getbufsize(), np.geterr()) == before
+            gemv(np.eye(3), np.ones(3))
+            assert (np.getbufsize(), np.geterr()) == before
+            with pytest.raises(DimensionMismatchError):
+                gemv(np.eye(3), np.ones(4))
+            assert (np.getbufsize(), np.geterr()) == before
+
 
 class TestDot:
     def test_orthogonal(self):
@@ -151,6 +197,30 @@ class TestDot:
         u = rng.standard_normal(257)
         v = rng.standard_normal(257)
         assert dot(u, v) == oracles.left_fold_dot(u, v)
+
+    def test_negative_zero_product_sums_to_positive_zero(self):
+        # A fold from +0.0 never ends on -0.0, even when every product is -0.0.
+        assert math.copysign(1.0, oracles.left_fold_dot([-1.0], [0.0])) == 1.0
+        assert math.copysign(1.0, dot([-1.0], [0.0])) == 1.0
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([-1.0, -2.0], [0.0, 0.0]),
+            ([-0.0, 1.0], [1.0, -1.0]),
+            ([1.0, -1.0], [1.0, 1.0]),
+            ([0.0, -3.0, 2.0], [-5.0, 0.0, 0.0]),
+            ([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_matches_left_fold_bitwise(self, u, v):
+        assert bits(dot(u, v)) == bits(oracles.left_fold_dot(u, v))
+
+    def test_random_matches_left_fold_bitwise(self, rng):
+        for n in (1, 2, 63, 64, 65, 257):
+            u = rng.standard_normal(n)
+            v = rng.standard_normal(n)
+            assert bits(dot(u, v)) == bits(oracles.left_fold_dot(u, v))
 
     def test_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import isocg.linalg
+import isocg.solvers
 import oracles
 from isocg import (
     DimensionMismatchError,
@@ -242,3 +244,50 @@ class TestSelfStabilizingCg:
             SolveConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolveConfig(ss_period=0)
+
+
+class TestSolveConfig:
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            SolveConfig(tol=float("nan"))
+
+
+class TestUnbufferedScope:
+    """Each solve runs every product inside one scope and restores numpy's state."""
+
+    @pytest.mark.parametrize("solve", [cg_solve, sscg_solve])
+    def test_state_restored_after_return(self, solve):
+        a, b = spectrum_problem(100, 1, 1e3)
+        with np.errstate(over="raise", under="warn"):
+            np.setbufsize(4096)
+            before = np.getbufsize(), np.geterr()
+            _, report = solve(a, b)
+            assert report.converged
+            assert (np.getbufsize(), np.geterr()) == before
+
+    @pytest.mark.parametrize("solve", [cg_solve, sscg_solve])
+    def test_state_restored_after_divergence(self, solve):
+        with np.errstate(over="raise", under="warn"):
+            np.setbufsize(4096)
+            before = np.getbufsize(), np.geterr()
+            with pytest.raises(SolverDivergedError):
+                solve(np.zeros((2, 2)), [1.0, 1.0])
+            assert (np.getbufsize(), np.geterr()) == before
+
+    @pytest.mark.parametrize("solve", [cg_solve, sscg_solve])
+    def test_every_product_runs_in_the_scope(self, solve, monkeypatch):
+        seen = []
+        real_gemv = isocg.solvers.gemv
+
+        def recording_gemv(a, v, counter=None):
+            seen.append(np.getbufsize())
+            return real_gemv(a, v, counter)
+
+        monkeypatch.setattr(isocg.solvers, "gemv", recording_gemv)
+        n = 96
+        a, b = spectrum_problem(n, 2, 1e3)
+        cfg = SolveConfig(fault_policy=FaultPolicy(rate=0.2, seed=3))
+        _, report = solve(a, b, cfg)
+        assert len(seen) == report.flops // (2 * n * n) > 0
+        assert set(seen) == {isocg.linalg._BUFSIZE} != {np.getbufsize()}
+
