@@ -92,9 +92,14 @@ def _load_system(path: str) -> tuple[PreparedMatrix, np.ndarray]:
     try:
         doc = json.loads(text)
         a = PreparedMatrix(as_square_matrix(doc["A"]))
-        b = as_vector(doc["b"]) if "b" in doc else gemv(a, np.ones(a.shape[0]))
+        b = as_vector(doc["b"]) if "b" in doc else None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(EXIT_DATAERR, f"bad system file {path}: {exc}") from exc
+    # JSON admits Infinity and NaN, which would only surface later as a diverged solve.
+    if not np.isfinite(a.cols).all() or (b is not None and not np.isfinite(b).all()):
+        raise _CliError(EXIT_DATAERR, f"bad system file {path}: non-finite entries")
+    if b is None:
+        b = gemv(a, np.ones(a.shape[0]))
     if b.size != a.shape[0]:
         raise _CliError(
             EXIT_DATAERR, f"bad system file {path}: A is {a.shape[0]}x{a.shape[1]} but b has length {b.size}"

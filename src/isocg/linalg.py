@@ -7,29 +7,21 @@ it outranks raw speed here.
 
 ``dot`` is a strict serial prefix sum (``cumsum``) that starts from +0.0.
 ``gemv`` reads A column by column from a :class:`PreparedMatrix`, which
-stores Aᵀ C-contiguously, and folds ``_BLOCK`` columns at a time with
-``np.add.reduce(..., axis=0)``.  numpy sums pairwise only along the fast
-axis in memory; axis 0 of a C-contiguous block is the slow axis, so the
-reduce adds the block's rows to the result one after another.  Carrying
-the previous blocks' sum into the block's first row therefore gives every
-row of A the same left fold over its columns as a plain loop would.  numpy
-drops the length-1 axis of a single-row A's blocks and would sum them
-pairwise, so a single-row product goes through ``dot`` instead.  An exactly
-symmetric A is its own transpose and is used without a copy; the
-solvers prepare A once per solve, not once per product.
-
-The block multiply broadcasts a slice of x along each row of the block,
-which numpy's default ufunc buffering turns into a copy of that operand.
-The products therefore run inside an :func:`unbuffered` scope, which the
-solvers enter once per solve and a ``gemv`` call on a plain matrix enters
-per call.  The scope changes how numpy iterates, never the arithmetic or
-its order: a prepared matrix multiplied outside any scope takes the
-buffered path and gives the same bits, only more slowly.
+stores Aᵀ C-contiguously, and contracts it with ``np.einsum("ji,j->i")``.
+einsum zero-fills its output, keeps the contiguous output axis ``i``
+innermost and walks the summed axis ``j`` outermost, in order, so each step
+is ``out[i] = out[i] + cols[j, i] * x[j]`` for j = 0..n-1: every row of A
+gets the same left fold over its columns as a plain loop, from +0.0, with
+the multiply and the add rounded separately (numpy's sum-of-products loops
+are built without fused multiply-add).  A single-row A would be reduced
+along its contiguous axis, which numpy sums pairwise, so a single-row
+product goes through ``dot`` instead.  An exactly symmetric A is its own
+transpose and is used without a copy; the solvers prepare A once per
+solve, not once per product.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -47,35 +39,9 @@ __all__ = [
     "gen_spd_spectrum",
 ]
 
-# Columns of A folded per step of ``gemv``; also the tile edge of the symmetry
-# scan, the transposing copy and the generator's mirror.  64 was fastest for
-# all four at n=512..4096.
+# Tile edge of the symmetry scan, the transposing copy and the generator's
+# mirror.  64 was fastest for all three at n=512..4096.
 _BLOCK = 64
-
-# numpy's ufunc buffer size inside ``unbuffered()``, in elements.  While the
-# buffer holds two or more block rows (the default 8192 holds 16 at n=512),
-# numpy copies the stride-0 ``x[s:s+k, None]`` operand of a block multiply
-# into it before multiplying; below that it runs its scalar-times-row loop on
-# the operands directly, 2-3x faster per block at n=512..2048.  A small buffer
-# also splits reductions and the solvers' vector operations into more inner
-# loops: per solve, 256 was as fast as 16 from n=200 up and 4-6% faster at
-# n=64..128.
-_BUFSIZE = 256
-
-
-@contextlib.contextmanager
-def unbuffered():
-    """Scope in which ``gemv`` block products skip numpy's ufunc buffering.
-
-    The buffer size lives in numpy's per-thread context, which ``np.errstate``
-    saves and restores, so the scope is thread-safe and ends with the caller's
-    buffer size and error settings.  It changes how numpy iterates, not what
-    it computes: every result has the same bits inside and outside the scope.
-    Entering it costs a few microseconds, so a solver enters it once per solve.
-    """
-    with np.errstate():
-        np.setbufsize(_BUFSIZE)
-        yield
 
 
 class FlopCounter:
@@ -156,11 +122,6 @@ class PreparedMatrix:
     float64 A is its own ``cols`` and is not copied, so the layout may share
     memory with A: do not modify A while the layout is in use.  Preparing an
     already prepared matrix returns the same layout.
-
-    ``gemv`` on a prepared matrix does not enter the :func:`unbuffered`
-    scope itself, since the solvers hold one open for the whole solve.
-    Used outside a solve, it takes numpy's buffered path: the same bits, but
-    slower at n of about 200 and up.
     """
 
     __slots__ = ("cols",)
@@ -181,19 +142,11 @@ def gemv(a, v, counter: FlopCounter | None = None) -> np.ndarray:
     """Matrix-vector product with left-to-right row accumulation.
 
     ``a`` is a :class:`PreparedMatrix` or anything :func:`as_matrix`
-    accepts.  A plain matrix is prepared on every call and multiplied inside
-    its own :func:`unbuffered` scope, so callers that multiply by the same A
-    repeatedly should prepare it once and enter the scope once.
+    accepts.  A plain matrix is prepared on every call, so callers that
+    multiply by the same A repeatedly should prepare it once.
     Advances ``counter`` by 2*rows*cols (2*n*n for square matrices).
     """
-    if isinstance(a, PreparedMatrix):
-        return _fold_columns(a.cols, v, counter)
-    cols = PreparedMatrix(a).cols  # outside the scope, where its scan and copy run faster
-    with unbuffered():
-        return _fold_columns(cols, v, counter)
-
-
-def _fold_columns(cols: np.ndarray, v, counter: FlopCounter | None) -> np.ndarray:
+    cols = a.cols if isinstance(a, PreparedMatrix) else PreparedMatrix(a).cols
     x = as_vector(v)
     if cols.shape[0] != x.size:
         raise DimensionMismatchError(
@@ -203,18 +156,10 @@ def _fold_columns(cols: np.ndarray, v, counter: FlopCounter | None) -> np.ndarra
     if counter is not None:
         counter.add(2 * cols.shape[0] * rows)
     if rows == 1:
-        # One row is one inner product.  Its (k, 1) blocks would be reduced along
-        # numpy's fast axis, where it sums pairwise.
+        # One row is one inner product.  einsum would reduce a one-row A along
+        # its contiguous axis, which numpy sums pairwise.
         return np.array([dot(cols[:, 0], x)])
-    buf = np.empty((min(_BLOCK, x.size), rows))
-    acc = np.empty(rows)
-    for s in range(0, x.size, _BLOCK):
-        block = buf[: min(_BLOCK, x.size - s)]
-        np.multiply(cols[s : s + _BLOCK], x[s : s + _BLOCK, None], out=block)
-        if s:
-            block[0] += acc  # acc + p == p + acc in IEEE arithmetic, so the fold is unchanged
-        np.add.reduce(block, axis=0, out=acc)
-    return acc
+    return np.einsum("ji,j->i", cols, x)
 
 
 def dot(u, v) -> float:

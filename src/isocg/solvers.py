@@ -16,9 +16,6 @@ into the matrix-vector product cannot derail convergence:
 
 Both solvers accept A as an array or as a :class:`~isocg.linalg.PreparedMatrix`
 and prepare it once per solve, so every product reuses one column layout.
-Each solve runs inside one :func:`~isocg.linalg.unbuffered` scope, entered
-once per solve rather than once per product; the scope changes numpy's
-iteration, not a single bit of the results.
 
 Flop accounting covers the matrix-vector products only (2*n*n each); the
 O(n) vector operations are deliberately ignored so that a plain solve
@@ -34,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SolverDivergedError
 from .faults import FaultEvent, FaultInjector, FaultPolicy
-from .linalg import FlopCounter, PreparedMatrix, as_vector, dot, gemv, unbuffered
+from .linalg import FlopCounter, PreparedMatrix, as_vector, dot, gemv
 
 __all__ = ["SolveConfig", "SolveReport", "cg_solve", "sscg_solve"]
 
@@ -88,7 +85,6 @@ def _diverged(message, hist, counter, events, k, x, algorithm):
     return SolverDivergedError(message, report=report, x=x)
 
 
-@unbuffered()
 def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveReport]:
     """Plain Hestenes-Stiefel CG from x0 = 0.
 
@@ -148,7 +144,6 @@ def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveRep
     return x, SolveReport(False, k, hist, counter.total, events, algorithm)
 
 
-@unbuffered()
 def sscg_solve(
     a,
     b,

@@ -288,3 +288,21 @@ class TestBadSettings:
         assert result.stderr.splitlines()[-1].startswith("isocg: ")
         assert result.stdout == ""
 
+
+class TestNonFiniteSystemFile:
+    """JSON admits Infinity and NaN; a system file holding them is bad data (65)."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"A": [[1, Infinity], [Infinity, 1]]}', '{"A": [[2, 1], [1, 2]], "b": [1, NaN]}'],
+        ids=["infinite-A", "nan-b"],
+    )
+    def test_exit_65_without_traceback(self, tmp_path, text):
+        path = tmp_path / "system.json"
+        path.write_text(text)
+        result = subprocess.run([sys.executable, "-m", "isocg", "solve", "--matrix", str(path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 65, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1] == f"isocg: bad system file {path}: non-finite entries"
+        assert result.stdout == ""

@@ -18,7 +18,7 @@ from isocg import (
     gen_spd_spectrum,
     norm2,
 )
-from isocg.linalg import PreparedMatrix, unbuffered
+from isocg.linalg import PreparedMatrix
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -156,6 +156,8 @@ class TestBlockedGemv:
 
 
 class TestUnbufferedScope:
+    """The product's bits do not depend on numpy's ufunc buffer size."""
+
     @pytest.mark.parametrize(
         "shape", [(1, 9), (1, 200), (2, 130), (65, 65), (129, 200), (300, 257), (257, 300)]
     )
@@ -164,23 +166,50 @@ class TestUnbufferedScope:
         v = rng.standard_normal(shape[1])
         prepared = PreparedMatrix(a)
         outside = gemv(prepared, v)
-        with unbuffered():
-            inside = gemv(prepared, v)
-        assert np.array_equal(bits(inside), bits(outside))
-        assert np.array_equal(bits(inside), bits(oracles.left_fold_gemv(a, v)))
+        for size in (16, 256, 8192):
+            with np.errstate():  # restores the buffer size on exit
+                np.setbufsize(size)
+                inside = gemv(prepared, v)
+            assert np.array_equal(bits(inside), bits(outside)), size
+        assert np.array_equal(bits(outside), bits(oracles.left_fold_gemv(a, v)))
 
-    def test_scope_restores_buffer_size_and_error_state(self):
-        with np.errstate(over="raise", under="warn"):
-            np.setbufsize(4096)
-            before = np.getbufsize(), np.geterr()
-            with unbuffered():
-                assert np.getbufsize() != 4096
-            assert (np.getbufsize(), np.geterr()) == before
-            gemv(np.eye(3), np.ones(3))
-            assert (np.getbufsize(), np.geterr()) == before
-            with pytest.raises(DimensionMismatchError):
-                gemv(np.eye(3), np.ones(4))
-            assert (np.getbufsize(), np.geterr()) == before
+
+class TestEinsumContraction:
+    """``einsum("ji,j->i")`` over Aᵀ is the left fold: summed axis outermost, no FMA."""
+
+    @pytest.mark.parametrize("shape", [(2, 130), (129, 200), (257, 300)])
+    def test_strided_vector_matches_left_fold_bitwise(self, rng, shape):
+        a = rng.standard_normal(shape)
+        v = np.repeat(rng.standard_normal(shape[1]), 2)[::2]
+        assert not v.flags.c_contiguous
+        assert np.array_equal(bits(gemv(PreparedMatrix(a), v)), bits(oracles.left_fold_gemv(a, v)))
+
+    def test_multiply_and_add_round_separately(self):
+        # Row i is 1*(-1) + (1 + 2**-30)*(1 - 2**-30).  The product rounds to 1.0,
+        # so the left fold gives 0.0; a fused multiply-add keeps 1 - 2**-60 and
+        # gives -2**-60.
+        e = 2.0**-30
+        a = np.array([[1.0, 1.0 + e], [1.0, 1.0 + e]])
+        v = np.array([-1.0, 1.0 - e])
+        assert np.array_equal(bits(oracles.left_fold_gemv(a, v)), bits([0.0, 0.0]))
+        assert np.array_equal(bits(gemv(PreparedMatrix(a), v)), bits([0.0, 0.0])), (
+            "gemv fused a multiply and an add: a numpy build with FMA in einsum "
+            "breaks the determinism contract"
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_spd_spectrum(np.logspace(0, 3, 64), 0),
+            lambda: gen_spd_spectrum(np.logspace(0, 3, 512), 0),
+            lambda: gen_spd_diag_dominant(512, 0),
+        ],
+        ids=["spectrum-64", "spectrum-512", "diag-dominant-512"],
+    )
+    def test_benchmark_shapes_match_left_fold_bitwise(self, rng, make):
+        a = make()
+        v = rng.standard_normal(a.shape[1])
+        assert np.array_equal(bits(gemv(PreparedMatrix(a), v)), bits(oracles.left_fold_gemv(a, v)))
 
 
 class TestDot:
