@@ -50,15 +50,7 @@ from .iso import (
     iso_power_clusters,
     solve_hybrid_for_mode,
 )
-from .linalg import (
-    FlopCounter,
-    axpy,
-    dot,
-    gemv,
-    gen_spd_diag_dominant,
-    gen_spd_spectrum,
-    norm2,
-)
+from .linalg import dot, gemv, gen_spd_diag_dominant, gen_spd_spectrum
 from .machine import (
     DOUBLE_GEMV_INTENSITY,
     MachineSpec,
@@ -93,11 +85,8 @@ __all__ = [
     "InfeasibleError",
     "NoBreakEvenError",
     # linalg
-    "FlopCounter",
     "gemv",
     "dot",
-    "axpy",
-    "norm2",
     "gen_spd_diag_dominant",
     "gen_spd_spectrum",
     # faults

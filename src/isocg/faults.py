@@ -153,7 +153,6 @@ class FaultInjector:
         self.policy = policy
         self.rng = np.random.default_rng(policy.seed)
         self.call_index = 0
-        self.events: list[FaultEvent] = []
 
     def _draw_positions(self, domain: tuple[int, ...], count: int) -> list[int]:
         picks = self.rng.choice(len(domain), size=count, replace=False)
@@ -192,5 +191,4 @@ class FaultInjector:
             after=float_to_bits(new),
         )
         out[idx] = new
-        self.events.append(event)
         return out, [event]

@@ -22,19 +22,14 @@ solve, not once per product.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpectrumError
 
 __all__ = [
-    "FlopCounter",
     "PreparedMatrix",
     "gemv",
     "dot",
-    "axpy",
-    "norm2",
     "gen_spd_diag_dominant",
     "gen_spd_spectrum",
 ]
@@ -42,28 +37,6 @@ __all__ = [
 # Tile edge of the symmetry scan, the transposing copy and the generator's
 # mirror.  64 was fastest for all three at n=512..4096.
 _BLOCK = 64
-
-
-class FlopCounter:
-    """Running count of mathematical flops (a multiply and an add count as two).
-
-    Only matrix-vector products feed the counter: vector operations are
-    neglected, matching the 2*n*n per-iteration cost model used by the
-    energy analysis.
-    """
-
-    __slots__ = ("total",)
-
-    def __init__(self) -> None:
-        self.total = 0
-
-    def add(self, flops: int) -> None:
-        if flops < 0:
-            raise ValueError("flop increments must be non-negative")
-        self.total += int(flops)
-
-    def __repr__(self) -> str:
-        return f"FlopCounter(total={self.total})"
 
 
 def as_vector(v) -> np.ndarray:
@@ -138,13 +111,12 @@ class PreparedMatrix:
         return self.cols.shape[1], self.cols.shape[0]
 
 
-def gemv(a, v, counter: FlopCounter | None = None) -> np.ndarray:
+def gemv(a, v) -> np.ndarray:
     """Matrix-vector product with left-to-right row accumulation.
 
     ``a`` is a :class:`PreparedMatrix` or anything :func:`as_matrix`
     accepts.  A plain matrix is prepared on every call, so callers that
     multiply by the same A repeatedly should prepare it once.
-    Advances ``counter`` by 2*rows*cols (2*n*n for square matrices).
     """
     cols = a.cols if isinstance(a, PreparedMatrix) else PreparedMatrix(a).cols
     x = as_vector(v)
@@ -152,10 +124,7 @@ def gemv(a, v, counter: FlopCounter | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"gemv: matrix has {cols.shape[0]} columns but vector has length {x.size}"
         )
-    rows = cols.shape[1]
-    if counter is not None:
-        counter.add(2 * cols.shape[0] * rows)
-    if rows == 1:
+    if cols.shape[1] == 1:
         # One row is one inner product.  einsum would reduce a one-row A along
         # its contiguous axis, which numpy sums pairwise.
         return np.array([dot(cols[:, 0], x)])
@@ -172,21 +141,6 @@ def dot(u, v) -> float:
     # product a negative zero) into the +0.0 of a fold from zero, and leaves
     # every other value unchanged.
     return float(np.multiply(a, b).cumsum()[-1]) + 0.0
-
-
-def axpy(alpha: float, x, y) -> np.ndarray:
-    """Return ``y + alpha * x``."""
-    a = as_vector(x)
-    b = as_vector(y)
-    if a.size != b.size:
-        raise DimensionMismatchError(f"axpy: lengths differ ({a.size} vs {b.size})")
-    return b + alpha * a
-
-
-def norm2(v) -> float:
-    """Euclidean norm, computed from the fixed-order inner product."""
-    a = as_vector(v)
-    return math.sqrt(dot(a, a))
 
 
 def gen_spd_diag_dominant(n: int, seed: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Both solve A x = b for symmetric positive definite A, starting from x = 0
 and stopping when the relative residual ||r|| / ||b|| drops below the
-configured tolerance.  The self-stabilizing variant periodically rebuilds
-its state from a trustworthy residual so that silent corruption injected
-into the matrix-vector product cannot derail convergence:
+configured tolerance.  They run one iteration loop under two schedules.
+Plain CG sends every matrix-vector product through the fault injector, if
+one is set.  The self-stabilizing variant periodically rebuilds its state
+from a trustworthy residual so that silent corruption injected into the
+product cannot derail convergence:
 
 * every ``ss_period``-th iteration runs fully reliable (no injection) and
   appends a correction, r = b - A x, p = r, after the usual update; this
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SolverDivergedError
 from .faults import FaultEvent, FaultInjector, FaultPolicy
-from .linalg import FlopCounter, PreparedMatrix, as_vector, dot, gemv
+from .linalg import PreparedMatrix, as_vector, dot, gemv
 
 __all__ = ["SolveConfig", "SolveReport", "cg_solve", "sscg_solve"]
 
@@ -80,9 +82,84 @@ def _check_system(a, b) -> tuple[PreparedMatrix, np.ndarray]:
     return m, v
 
 
-def _diverged(message, hist, counter, events, k, x, algorithm):
-    report = SolveReport(False, k, hist, counter.total, events, algorithm)
-    return SolverDivergedError(message, report=report, x=x)
+def _solve(a, b, cfg, injector, stabilize):
+    """The CG iteration shared by both public solvers.
+
+    Plain CG (``stabilize`` false) runs every product through the injector.
+    Self-stabilizing CG keeps every ``cfg.ss_period``-th product reliable and
+    follows it with a correction, and verifies a claimed convergence with a
+    correction before it stops.
+    """
+    cfg = cfg if cfg is not None else SolveConfig()
+    m, rhs = _check_system(a, b)
+    n = rhs.size
+    if injector is None and cfg.fault_policy is not None:
+        injector = FaultInjector(cfg.fault_policy)
+    algorithm = injector.algorithm if injector is not None else None
+    products = 0
+    events: list[FaultEvent] = []
+    hist: list[float] = []
+    x = np.zeros(n)
+
+    def report(converged, k):
+        return SolveReport(converged, k, hist, products * 2 * n * n, events, algorithm)
+
+    bnorm = math.sqrt(dot(rhs, rhs))
+    if bnorm == 0.0:
+        return x, report(True, 0)
+
+    # No step updates a vector in place, so r and p may share memory.
+    r = p = rhs
+    rho = dot(r, r)
+    for k in range(1, cfg.resolved_max_iter(n) + 1):
+        reliable = stabilize and k % cfg.ss_period == 0
+        w = gemv(m, p)
+        products += 1
+        if injector is not None and not reliable:
+            w, new_events = injector.inject(w)
+            for e in new_events:
+                e.iteration = k
+            events.extend(new_events)
+        denom = dot(p, w)
+        if denom == 0.0 or not math.isfinite(denom):
+            raise SolverDivergedError(
+                f"search direction degenerated at iteration {k} (p.Ap = {denom})",
+                report=report(False, k), x=x,
+            )
+        alpha = rho / denom
+        x = x + alpha * p
+        if not reliable:
+            r = r - alpha * w
+            rho_new = dot(r, r)
+            if not math.isfinite(rho_new):
+                raise SolverDivergedError(
+                    f"non-finite residual at iteration {k}", report=report(False, k), x=x
+                )
+            rel = math.sqrt(rho_new) / bnorm
+            if not (stabilize and rel <= cfg.tol):
+                hist.append(rel)
+                if rel <= cfg.tol:
+                    return x, report(True, k)
+                p = r + (rho_new / rho) * p
+                rho = rho_new
+                continue
+        # Trusted path, on schedule or to verify a claimed convergence (a
+        # corrupted recurrence can claim it while the true residual is large):
+        # recompute the residual and restart the direction from it.
+        r = p = rhs - gemv(m, x)
+        products += 1
+        rho = dot(r, r)
+        if reliable and not math.isfinite(rho):
+            raise SolverDivergedError(
+                f"non-finite state after correction at iteration {k}",
+                report=report(False, k), x=x,
+            )
+        rel = math.sqrt(rho) / bnorm
+        hist.append(rel)
+        if rel <= cfg.tol:
+            return x, report(True, k)
+
+    return x, report(False, cfg.resolved_max_iter(n))
 
 
 def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveReport]:
@@ -93,55 +170,7 @@ def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveRep
     machine); the recurrence then tracks the corrupted updates, so the
     reported residuals may disagree with the true residual b - A x.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
-    m, rhs = _check_system(a, b)
-    n = rhs.size
-    injector = FaultInjector(cfg.fault_policy) if cfg.fault_policy is not None else None
-    algorithm = injector.algorithm if injector is not None else None
-
-    bnorm = math.sqrt(dot(rhs, rhs))
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, [], 0, [], algorithm)
-
-    counter = FlopCounter()
-    events: list[FaultEvent] = []
-    hist: list[float] = []
-    x = np.zeros(n)
-    r = rhs.copy()
-    p = r.copy()
-    rho = dot(r, r)
-
-    for k in range(1, cfg.resolved_max_iter(n) + 1):
-        w = gemv(m, p, counter)
-        if injector is not None:
-            w, new_events = injector.inject(w)
-            for e in new_events:
-                e.iteration = k
-            events.extend(new_events)
-        denom = dot(p, w)
-        if denom == 0.0 or not math.isfinite(denom):
-            raise _diverged(
-                f"search direction degenerated at iteration {k} (p.Ap = {denom})",
-                hist, counter, events, k, x, algorithm,
-            )
-        alpha = rho / denom
-        x = x + alpha * p
-        r = r - alpha * w
-        rho_new = dot(r, r)
-        if not math.isfinite(rho_new):
-            raise _diverged(
-                f"non-finite residual at iteration {k}",
-                hist, counter, events, k, x, algorithm,
-            )
-        rel = math.sqrt(rho_new) / bnorm
-        hist.append(rel)
-        if rel <= cfg.tol:
-            return x, SolveReport(True, k, hist, counter.total, events, algorithm)
-        p = r + (rho_new / rho) * p
-        rho = rho_new
-
-    k = cfg.resolved_max_iter(n)
-    return x, SolveReport(False, k, hist, counter.total, events, algorithm)
+    return _solve(a, b, cfg, None, stabilize=False)
 
 
 def sscg_solve(
@@ -158,79 +187,4 @@ def sscg_solve(
     injector.  Convergence is only declared after a reliable residual
     recomputation confirms it.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
-    m, rhs = _check_system(a, b)
-    n = rhs.size
-    if injector is None and cfg.fault_policy is not None:
-        injector = FaultInjector(cfg.fault_policy)
-    algorithm = injector.algorithm if injector is not None else None
-
-    bnorm = math.sqrt(dot(rhs, rhs))
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, [], 0, [], algorithm)
-
-    counter = FlopCounter()
-    events: list[FaultEvent] = []
-    hist: list[float] = []
-    x = np.zeros(n)
-    r = rhs.copy()
-    p = r.copy()
-    rho = dot(r, r)
-
-    def correct(xk):
-        # Trusted path: recompute the residual and restart the direction.
-        rk = rhs - gemv(m, xk, counter)
-        return rk, rk.copy(), dot(rk, rk)
-
-    for k in range(1, cfg.resolved_max_iter(n) + 1):
-        reliable = (k % cfg.ss_period == 0)
-        w = gemv(m, p, counter)
-        if injector is not None and not reliable:
-            w, new_events = injector.inject(w)
-            for e in new_events:
-                e.iteration = k
-            events.extend(new_events)
-        denom = dot(p, w)
-        if denom == 0.0 or not math.isfinite(denom):
-            raise _diverged(
-                f"search direction degenerated at iteration {k} (p.Ap = {denom})",
-                hist, counter, events, k, x, algorithm,
-            )
-        alpha = rho / denom
-        x = x + alpha * p
-
-        if reliable:
-            r, p, rho = correct(x)
-            if not math.isfinite(rho):
-                raise _diverged(
-                    f"non-finite state after correction at iteration {k}",
-                    hist, counter, events, k, x, algorithm,
-                )
-            rel = math.sqrt(rho) / bnorm
-            hist.append(rel)
-            if rel <= cfg.tol:
-                return x, SolveReport(True, k, hist, counter.total, events, algorithm)
-        else:
-            r = r - alpha * w
-            rho_new = dot(r, r)
-            if not math.isfinite(rho_new):
-                raise _diverged(
-                    f"non-finite residual at iteration {k}",
-                    hist, counter, events, k, x, algorithm,
-                )
-            rel = math.sqrt(rho_new) / bnorm
-            if rel <= cfg.tol:
-                # The recurrence may lie under injection: verify reliably,
-                # and keep going from the corrected state if it does.
-                r, p, rho = correct(x)
-                rel = math.sqrt(rho) / bnorm
-                hist.append(rel)
-                if rel <= cfg.tol:
-                    return x, SolveReport(True, k, hist, counter.total, events, algorithm)
-            else:
-                hist.append(rel)
-                p = r + (rho_new / rho) * p
-                rho = rho_new
-
-    k = cfg.resolved_max_iter(n)
-    return x, SolveReport(False, k, hist, counter.total, events, algorithm)
+    return _solve(a, b, cfg, injector, stabilize=True)

@@ -9,14 +9,11 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from isocg import (
     DimensionMismatchError,
-    FlopCounter,
     InvalidSpectrumError,
-    axpy,
     dot,
     gemv,
     gen_spd_diag_dominant,
     gen_spd_spectrum,
-    norm2,
 )
 from isocg.linalg import PreparedMatrix
 
@@ -49,13 +46,6 @@ class TestGemv:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             gemv(np.eye(3), np.ones(4))
-
-    def test_flop_counter_advance(self, rng):
-        counter = FlopCounter()
-        gemv(rng.standard_normal((6, 6)), np.ones(6), counter)
-        assert counter.total == 2 * 6 * 6
-        gemv(rng.standard_normal((3, 5)), np.ones(5), counter)
-        assert counter.total == 2 * 6 * 6 + 2 * 3 * 5
 
     @settings(max_examples=50, deadline=None)
     @given(v=arrays(np.float64, st.integers(1, 8), elements=finite_floats))
@@ -256,34 +246,6 @@ class TestDot:
             dot([1.0], [1.0, 2.0])
 
 
-class TestAxpy:
-    def test_alpha_zero_keeps_y(self, rng):
-        x = rng.standard_normal(9)
-        y = rng.standard_normal(9)
-        assert np.array_equal(axpy(0.0, x, y), y)
-
-    def test_alpha_one(self):
-        assert np.array_equal(axpy(1.0, [1.0, 1.0], [0.0, 2.0]), np.array([1.0, 3.0]))
-
-    def test_hand(self):
-        assert np.array_equal(axpy(-2.0, [1.0, 2.0], [2.0, 4.0]), np.zeros(2))
-
-    def test_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            axpy(1.0, [1.0], [1.0, 2.0])
-
-
-class TestNorm2:
-    def test_three_four_five(self):
-        assert norm2([3.0, 4.0]) == 5.0
-
-    def test_zero(self):
-        assert norm2(np.zeros(7)) == 0.0
-
-    def test_ones(self):
-        assert norm2([1.0, 1.0, 1.0, 1.0]) == 2.0
-
-
 class TestDiagDominantGenerator:
     def test_n1(self):
         assert np.array_equal(gen_spd_diag_dominant(1, 0), np.array([[1.0]]))
@@ -353,14 +315,3 @@ class TestSpectrumGenerator:
         with pytest.raises(InvalidSpectrumError):
             gen_spd_spectrum(bad, 0)
 
-
-class TestFlopCounter:
-    def test_monotone(self):
-        c = FlopCounter()
-        c.add(10)
-        c.add(0)
-        assert c.total == 10
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FlopCounter().add(-1)
