@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -52,6 +54,13 @@ _MODE_BY_FLAG = {
 }
 
 _FAULT_BITS = {"sign", "mantissa", "sign-mantissa", "exponent", "any"}
+
+# Largest relative asymmetry max|A - Aᵀ| / max|A| of a --matrix file.
+# gen_spd_spectrum leaves 6e-17 to 1.3e-16 at n = 8..2048.
+_SYMMETRY_TOL = 1e-10
+
+# Most points an ets --degradation range may hold; the default has 41.
+_MAX_DEGRADATION_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +107,13 @@ def _load_system(path: str) -> tuple[PreparedMatrix, np.ndarray]:
     # JSON admits Infinity and NaN, which would only surface later as a diverged solve.
     if not np.isfinite(a.cols).all() or (b is not None and not np.isfinite(b).all()):
         raise _CliError(EXIT_DATAERR, f"bad system file {path}: non-finite entries")
+    asymmetry = np.abs(a.cols - a.cols.T).max()
+    if asymmetry > _SYMMETRY_TOL * np.abs(a.cols).max():
+        raise _CliError(
+            EXIT_DATAERR,
+            f"bad system file {path}: A is not symmetric "
+            f"(max|A - A^T| = {asymmetry:.3g} exceeds {_SYMMETRY_TOL:g} * max|A|)",
+        )
     if b is None:
         b = gemv(a, np.ones(a.shape[0]))
     if b.size != a.shape[0]:
@@ -151,11 +167,24 @@ def _solve_json_doc(name, n, args, report, x) -> dict:
     }
 
 
+def _check_size(args) -> None:
+    """Reject a --size below 1, or one whose A alone would not fit in physical memory."""
+    if args.size < 1:
+        args.parser.error(f"--size must be >= 1, got {args.size}")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * args.size**2 > memory:
+        raise _CliError(
+            EXIT_USAGE,
+            f"--size {args.size} needs {8 * args.size**2} bytes for A, "
+            f"more than the {memory} bytes of physical memory",
+        )
+
+
 def _require_problem_source(args) -> None:
     if args.size is None and args.matrix is None:
         args.parser.error("one of --size or --matrix is required")
-    if args.size is not None and args.matrix is None and args.size < 1:
-        args.parser.error(f"--size must be >= 1, got {args.size}")
+    if args.matrix is None:
+        _check_size(args)
 
 
 def _cmd_solve(args) -> int:
@@ -333,6 +362,8 @@ def _parse_degradation(value: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric range {value!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"range must be finite, got {value!r}")
     if start < 0 or stop < start or step <= 0:
         raise argparse.ArgumentTypeError(
             f"range must satisfy 0 <= start <= stop with step > 0, got {value!r}"
@@ -340,15 +371,30 @@ def _parse_degradation(value: str) -> list[float]:
     out = []
     d = start
     while d <= stop + 1e-9:
+        # Also ends a range whose step is too small to move d at all.
+        if len(out) == _MAX_DEGRADATION_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"range {value!r} has more than {_MAX_DEGRADATION_POINTS} points"
+            )
         out.append(round(d, 12))
         d += step
     return out
 
 
+def _seed(value: str) -> int:
+    """A seed for numpy's generators, which take non-negative integers only."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be integers >= 0, got {value!r}")
+    return seed
+
+
 def _cmd_ets(args) -> int:
     parser = args.parser
-    if args.size < 1:
-        parser.error(f"--size must be >= 1, got {args.size}")
+    _check_size(args)
     mode = _MODE_BY_FLAG[args.mode]
     sset = _load_data(args)
     ref_name, ref_cores, ref_freq = _parse_ref(args.ref, parser, want="full")
@@ -421,7 +467,7 @@ def _add_solve_flags(sub, ss: bool) -> None:
                      help="generate an SPD system of this order (with --matrix: expected order)")
     sub.add_argument("--matrix", default=None,
                      help="JSON file with fields A (square) and optional b")
-    sub.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    sub.add_argument("--seed", type=_seed, default=0, help="generator seed (default 0)")
     sub.add_argument("--tol", type=float, default=1.0e-8, help="relative residual threshold")
     sub.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 50n)")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -433,7 +479,7 @@ def _add_solve_flags(sub, ss: bool) -> None:
         sub.add_argument("--fault-bits", choices=sorted(_FAULT_BITS), default="sign-mantissa",
                          help="bit region eligible for flips")
         sub.add_argument("--flips", type=int, default=1, help="bits flipped per event")
-        sub.add_argument("--fault-seed", type=int, default=0, help="injector RNG seed")
+        sub.add_argument("--fault-seed", type=_seed, default=0, help="injector RNG seed")
 
 
 def build_parser() -> _Parser:
@@ -474,7 +520,7 @@ def build_parser() -> _Parser:
     ets.add_argument("--target", default="a7:0.5", help="unreliable cluster, machine:freq")
     ets.add_argument("--ss-fraction", type=float, default=0.1)
     ets.add_argument("--size", type=int, default=512, help="modelled problem order (default 512)")
-    ets.add_argument("--seed", type=int, default=1, help="problem generator seed (default 1)")
+    ets.add_argument("--seed", type=_seed, default=1, help="problem generator seed (default 1)")
     ets.add_argument("--json", action="store_true")
     ets.set_defaults(func=_cmd_ets)
 

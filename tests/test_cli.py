@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isocg.cli
 import oracles
 from isocg import default_data_dir, load_sampleset, save_sampleset
 from isocg.cli import run
@@ -306,3 +312,157 @@ class TestNonFiniteSystemFile:
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines()[-1] == f"isocg: bad system file {path}: non-finite entries"
         assert result.stdout == ""
+
+
+class TestNonSymmetricSystemFile:
+    """A --matrix A that is not symmetric is bad data (65), not a 100-iteration non-convergence."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[4, 1], [0, 3]], np.random.default_rng(6).random((6, 6)).tolist()],
+        ids=["hand-2x2", "random-6x6"],
+    )
+    def test_exit_65_without_traceback(self, tmp_path, a):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"A": a}))
+        result = subprocess.run([sys.executable, "-m", "isocg", "solve", "--matrix", str(path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 65, result.stderr
+        assert "Traceback" not in result.stderr
+        message = result.stderr.splitlines()[-1]
+        assert message.startswith(f"isocg: bad system file {path}: A is not symmetric (")
+        assert "1e-10 * max|A|" in message
+        assert result.stdout == ""
+
+    def test_rounding_asymmetry_is_accepted(self, capsys, tmp_path):
+        a = np.array([[4.0, 1.0], [1.0 + 2.0**-50, 3.0]])
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"A": a.tolist(), "b": [1.0, 2.0]}))
+        code, out, err = run_cli(capsys, "solve", "--matrix", str(path))
+        assert code == 0, err
+        assert "converged: yes" in out
+
+
+class TestSizeBudget:
+    """A --size whose A alone exceeds physical memory is a usage error, found before any allocation."""
+
+    @pytest.mark.parametrize("command", ["solve", "solve-ss", "ets"])
+    def test_exit_64_before_generating(self, capsys, monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setattr(isocg.cli, "gen_spd_diag_dominant", refuse)
+        code, out, err = run_cli(capsys, command, "--size", str(10**8))
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"isocg: --size {10**8} needs {8 * 10**16} bytes for A")
+        assert len(err.splitlines()) == 1
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--size", "8", "--seed", "-1"],
+            ["solve-ss", "--size", "8", "--seed", "-2"],
+            ["solve-ss", "--size", "8", "--fault-rate", "0.1", "--fault-seed", "-1"],
+            ["ets", "--seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 64
+        assert "seeds must be integers >= 0" in capsys.readouterr().err
+
+
+class TestDegradationRange:
+    def test_infinite_stop_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["ets", "--degradation", "0:inf:10"])
+        assert excinfo.value.code == 64
+        assert "range must be finite" in capsys.readouterr().err
+
+    def test_too_many_points_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["ets", "--degradation", "0:1e7:1e-3"])
+        assert excinfo.value.code == 64
+        assert "more than 10000 points" in capsys.readouterr().err
+
+    def test_step_below_the_spacing_of_start_is_usage_error(self):
+        # start + step == start, so the range would never advance
+        with pytest.raises(SystemExit) as excinfo:
+            run(["ets", "--degradation", "1e20:1e20:1"])
+        assert excinfo.value.code == 64
+
+    def test_ten_thousand_points_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "ets", "--size", "8", "--degradation", "0:9999:1")
+        assert code == 0
+        assert len(out.splitlines()) >= 1 + 10_000
+
+
+# Valid values are listed more than once, so that more argvs get past parsing.
+_NUMBERS = st.sampled_from(["0.5", "0.5", "1e-12", "1", "2", "0", "-1", "nan", "inf", "x"])
+_INTS = st.sampled_from(["1", "3", "3", "0", "-1", "x", "1.5", "99999999999999999999"])
+_SIZES = st.integers(-2, 32).map(str)
+_REFS = st.sampled_from(["a15:4:1.6"] * 3 + ["xeon:8:2.0"] * 2 + ["a15", "nope:1:1", "a15:x:y",
+                                                                  "a15:4:9.9", ""])
+_TARGETS = st.sampled_from(["a7:0.5"] * 3 + ["a15:1.6", "a7", "a7:4:0.5", "a7:x", ""])
+_DATA = st.sampled_from(
+    [str(default_data_dir()), str(default_data_dir() / "samples.csv"), "no-such-data-dir"]
+)
+_SYSTEM_FILES = st.sampled_from(
+    [str(default_data_dir() / "hand2x2.json"), str(default_data_dir() / "machines.ini"),
+     "no-such-system.json"]
+)
+
+
+def _argv(command, required, optional, switches):
+    """Strategy for ``[command, *flags]``: every required flag, each optional one
+    about a third of the time, and one choice of ``switches``."""
+    def pair(name, values):
+        return values.map(lambda v: ["--" + name, v])
+
+    parts = [pair(name, values) for name, values in required.items()]
+    parts += [st.one_of(st.just([]), st.just([]), pair(name, values))
+              for name, values in optional.items()]
+    parts.append(st.sampled_from(switches))
+    return st.tuples(*parts).map(lambda lists: [command] + [a for part in lists for a in part])
+
+
+_SOLVE = {"size": _SIZES, "matrix": _SYSTEM_FILES, "seed": _INTS, "tol": _NUMBERS,
+          "max-iter": st.integers(-1, 200).map(str)}
+_SS = {"ss-period": _INTS, "fault-rate": _NUMBERS, "flips": _INTS, "fault-seed": _INTS,
+       "fault-bits": st.sampled_from(["sign", "exponent", "any", "sign-mantissa", "bad"])}
+_MODEL = {"ref": _REFS, "target": _TARGETS, "data": _DATA, "ss-fraction": _NUMBERS}
+_ARGV = st.one_of(
+    _argv("solve", {}, _SOLVE, [[], ["--json"]]),
+    _argv("solve-ss", {}, {**_SOLVE, **_SS}, [[], ["--json"]]),
+    _argv("iso", {"mode": st.sampled_from(["perf", "power", "capacity", "bogus"]),
+                  "ref": _REFS, "target": _TARGETS},
+          {"data": _DATA, "ss-fraction": _NUMBERS,
+           "problem-class": st.sampled_from(["on_chip", "off_chip"])},
+          [[], ["--hybrid"], ["--json"], ["--csv"], ["--hybrid", "--csv"]]),
+    _argv("ets", {"size": _SIZES},
+          {**_MODEL, "seed": _INTS,
+           "mode": st.sampled_from(["iso-perf", "iso-power", "iso-capacity", "perf"]),
+           "degradation": st.sampled_from(["0:40:10", "0:0:1", "5:1:1", "0:nan:1", "0:1:0"])},
+          [[], ["--json"]]),
+)
+
+
+class TestArgvProperty:
+    """Every argv ends in a documented exit code, never in an uncaught exception."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_ARGV)
+    def test_exit_code_is_documented(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 2, 64, 65, 66}, (argv, code, err.getvalue())
