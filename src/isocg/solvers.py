@@ -82,7 +82,9 @@ def _check_system(a, b) -> tuple[PreparedMatrix, np.ndarray]:
     return m, v
 
 
-def _solve(a, b, cfg, injector, stabilize):
+def _solve(
+    a, b, cfg: SolveConfig | None, injector: FaultInjector | None, stabilize: bool
+) -> tuple[np.ndarray, SolveReport]:
     """The CG iteration shared by both public solvers.
 
     Plain CG (``stabilize`` false) runs every product through the injector.

@@ -384,9 +384,10 @@ class TestDegradationRange:
         assert excinfo.value.code == 64
         assert "range must be finite" in capsys.readouterr().err
 
-    def test_too_many_points_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("bad", ["0:1e7:1e-3", "0:10000:1"])
+    def test_too_many_points_is_usage_error(self, capsys, bad):
         with pytest.raises(SystemExit) as excinfo:
-            run(["ets", "--degradation", "0:1e7:1e-3"])
+            run(["ets", "--degradation", bad])
         assert excinfo.value.code == 64
         assert "more than 10000 points" in capsys.readouterr().err
 
@@ -435,7 +436,6 @@ _SOLVE = {"size": _SIZES, "matrix": _SYSTEM_FILES, "seed": _INTS, "tol": _NUMBER
           "max-iter": st.integers(-1, 200).map(str)}
 _SS = {"ss-period": _INTS, "fault-rate": _NUMBERS, "flips": _INTS, "fault-seed": _INTS,
        "fault-bits": st.sampled_from(["sign", "exponent", "any", "sign-mantissa", "bad"])}
-_MODEL = {"ref": _REFS, "target": _TARGETS, "data": _DATA, "ss-fraction": _NUMBERS}
 _ARGV = st.one_of(
     _argv("solve", {}, _SOLVE, [[], ["--json"]]),
     _argv("solve-ss", {}, {**_SOLVE, **_SS}, [[], ["--json"]]),
@@ -445,7 +445,7 @@ _ARGV = st.one_of(
            "problem-class": st.sampled_from(["on_chip", "off_chip"])},
           [[], ["--hybrid"], ["--json"], ["--csv"], ["--hybrid", "--csv"]]),
     _argv("ets", {"size": _SIZES},
-          {**_MODEL, "seed": _INTS,
+          {"ref": _REFS, "target": _TARGETS, "data": _DATA, "ss-fraction": _NUMBERS, "seed": _INTS,
            "mode": st.sampled_from(["iso-perf", "iso-power", "iso-capacity", "perf"]),
            "degradation": st.sampled_from(["0:40:10", "0:0:1", "5:1:1", "0:nan:1", "0:1:0"])},
           [[], ["--json"]]),
