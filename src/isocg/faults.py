@@ -4,11 +4,21 @@ Faults are modelled per matrix-vector call: with probability ``rate`` one
 output element gets ``flips_per_event`` random bits XOR-flipped inside a
 chosen region of the IEEE-754 double layout.  By default results that
 would become NaN or +/-Inf are redrawn, keeping the corruption silent.
+
+The PCG64 stream fixes every decision.  Each call draws one uniform for the
+Bernoulli test.  A fault then draws the element with ``integers(0, n)`` and
+its bit positions from the domain's k bits: one flip is one bounded draw,
+``integers(0, k)``, the same draw ``choice(k, 1, replace=False)`` makes;
+several flips use ``choice(k, flips, replace=False)``.  A result that is not
+finite, unless allowed, is redrawn from the same domain up to
+``_MAX_REDRAWS`` times and then replaced by flips from the sign/mantissa
+domain.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -55,17 +65,21 @@ def bits_to_float(bits: int) -> float:
     return value
 
 
+def _xor_bits(bits: int, positions) -> int:
+    for p in positions:
+        bits ^= 1 << p
+    return bits
+
+
 def flip_bits(value: float, positions) -> float:
     """XOR the 64-bit pattern of ``value`` at the given bit positions."""
     pos = list(positions)
     if len(set(pos)) != len(pos):
         raise ValueError(f"bit positions must be distinct, got {pos}")
-    bits = float_to_bits(value)
     for p in pos:
         if not 0 <= p <= 63:
             raise ValueError(f"bit position out of range 0..63: {p}")
-        bits ^= 1 << p
-    return bits_to_float(bits)
+    return bits_to_float(_xor_bits(float_to_bits(value), pos))
 
 
 @dataclass
@@ -155,6 +169,10 @@ class FaultInjector:
         self.call_index = 0
 
     def _draw_positions(self, domain: tuple[int, ...], count: int) -> list[int]:
+        if count == 1:
+            # Same single bounded draw as ``choice(len(domain), 1, replace=False)``,
+            # at a fifth of its cost.
+            return [domain[int(self.rng.integers(0, len(domain)))]]
         picks = self.rng.choice(len(domain), size=count, replace=False)
         return [domain[int(i)] for i in picks]
 
@@ -167,28 +185,29 @@ class FaultInjector:
 
         out = vec.copy()
         idx = int(self.rng.integers(0, out.size))
+        before = float_to_bits(out[idx])
         domain = BIT_DOMAINS[self.policy.bit_domain]
         positions = self._draw_positions(domain, self.policy.flips_per_event)
-        new = flip_bits(out[idx], positions)
-        if not self.policy.allow_nonfinite and not np.isfinite(new):
+        after = _xor_bits(before, positions)
+        if not self.policy.allow_nonfinite and not math.isfinite(bits_to_float(after)):
             for _ in range(_MAX_REDRAWS):
                 positions = self._draw_positions(domain, self.policy.flips_per_event)
-                new = flip_bits(out[idx], positions)
-                if np.isfinite(new):
+                after = _xor_bits(before, positions)
+                if math.isfinite(bits_to_float(after)):
                     break
             else:
                 fallback = BIT_DOMAINS["sign_mantissa"]
                 positions = self._draw_positions(
                     fallback, min(self.policy.flips_per_event, len(fallback))
                 )
-                new = flip_bits(out[idx], positions)
+                after = _xor_bits(before, positions)
 
+        out[idx] = bits_to_float(after)
         event = FaultEvent(
             call_index=self.call_index,
             element_index=idx,
             bit_positions=sorted(positions),
-            before=float_to_bits(out[idx]),
-            after=float_to_bits(new),
+            before=before,
+            after=after,
         )
-        out[idx] = new
         return out, [event]

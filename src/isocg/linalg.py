@@ -5,7 +5,8 @@ so identical inputs produce bit-identical outputs run after run.  That
 reproducibility is what makes fault-injection experiments replayable, and
 it outranks raw speed here.
 
-``dot`` is a strict serial prefix sum (``cumsum``) that starts from +0.0.
+``dot`` is a strict serial prefix sum (``np.add.accumulate``, the loop behind
+``cumsum``) that starts from +0.0.
 ``gemv`` reads A column by column from a :class:`PreparedMatrix`, which
 stores Aᵀ C-contiguously, and contracts it with ``np.einsum("ji,j->i")``.
 einsum zero-fills its output, keeps the contiguous output axis ``i``
@@ -39,7 +40,21 @@ __all__ = [
 _BLOCK = 64
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_vector(v) -> np.ndarray:
+    """``v`` as a non-empty 1-d float64 array, converting only when needed.
+
+    A 1-d ndarray (not a subclass) of native float64 with at least one
+    element is returned as the same object, before any conversion is
+    attempted; that is the object ``np.asarray`` returns for it too.  Every
+    other input is converted with ``np.asarray(v, dtype=np.float64)`` and
+    then checked.  Raises :class:`DimensionMismatchError` for input that is
+    not 1-d or is empty.
+    """
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1 and v.size > 0:
+        return v
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {a.shape}")
@@ -137,10 +152,10 @@ def dot(u, v) -> float:
     b = as_vector(v)
     if a.size != b.size:
         raise DimensionMismatchError(f"dot: lengths differ ({a.size} vs {b.size})")
-    # cumsum starts from the first product; adding +0.0 turns its -0.0 (every
-    # product a negative zero) into the +0.0 of a fold from zero, and leaves
-    # every other value unchanged.
-    return float(np.multiply(a, b).cumsum()[-1]) + 0.0
+    # The prefix sum starts from the first product; adding +0.0 turns its
+    # -0.0 (every product a negative zero) into the +0.0 of a fold from zero,
+    # and leaves every other value unchanged.
+    return float(np.add.accumulate(np.multiply(a, b))[-1]) + 0.0
 
 
 def gen_spd_diag_dominant(n: int, seed: int) -> np.ndarray:

@@ -49,8 +49,8 @@ class SolveConfig:
     fault_policy: FaultPolicy | None = None
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:  # also rejects NaN
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:  # also rejects NaN
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.ss_period < 1:
@@ -106,62 +106,66 @@ def _solve(
     def report(converged, k):
         return SolveReport(converged, k, hist, products * 2 * n * n, events, algorithm)
 
-    bnorm = math.sqrt(dot(rhs, rhs))
-    if bnorm == 0.0:
-        return x, report(True, 0)
+    # An injected fault can overflow a product or a vector update.  The loop
+    # raises SolverDivergedError on every non-finite scalar it branches on, so
+    # numpy's floating-point warnings would only repeat that, on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bnorm = math.sqrt(dot(rhs, rhs))
+        if bnorm == 0.0:
+            return x, report(True, 0)
 
-    # No step updates a vector in place, so r and p may share memory.
-    r = p = rhs
-    rho = dot(r, r)
-    for k in range(1, cfg.resolved_max_iter(n) + 1):
-        reliable = stabilize and k % cfg.ss_period == 0
-        w = gemv(m, p)
-        products += 1
-        if injector is not None and not reliable:
-            w, new_events = injector.inject(w)
-            for e in new_events:
-                e.iteration = k
-            events.extend(new_events)
-        denom = dot(p, w)
-        if denom == 0.0 or not math.isfinite(denom):
-            raise SolverDivergedError(
-                f"search direction degenerated at iteration {k} (p.Ap = {denom})",
-                report=report(False, k), x=x,
-            )
-        alpha = rho / denom
-        x = x + alpha * p
-        if not reliable:
-            r = r - alpha * w
-            rho_new = dot(r, r)
-            if not math.isfinite(rho_new):
-                raise SolverDivergedError(
-                    f"non-finite residual at iteration {k}", report=report(False, k), x=x
-                )
-            rel = math.sqrt(rho_new) / bnorm
-            if not (stabilize and rel <= cfg.tol):
-                hist.append(rel)
-                if rel <= cfg.tol:
-                    return x, report(True, k)
-                p = r + (rho_new / rho) * p
-                rho = rho_new
-                continue
-        # Trusted path, on schedule or to verify a claimed convergence (a
-        # corrupted recurrence can claim it while the true residual is large):
-        # recompute the residual and restart the direction from it.
-        r = p = rhs - gemv(m, x)
-        products += 1
+        # No step updates a vector in place, so r and p may share memory.
+        r = p = rhs
         rho = dot(r, r)
-        if reliable and not math.isfinite(rho):
-            raise SolverDivergedError(
-                f"non-finite state after correction at iteration {k}",
-                report=report(False, k), x=x,
-            )
-        rel = math.sqrt(rho) / bnorm
-        hist.append(rel)
-        if rel <= cfg.tol:
-            return x, report(True, k)
+        for k in range(1, cfg.resolved_max_iter(n) + 1):
+            reliable = stabilize and k % cfg.ss_period == 0
+            w = gemv(m, p)
+            products += 1
+            if injector is not None and not reliable:
+                w, new_events = injector.inject(w)
+                for e in new_events:
+                    e.iteration = k
+                events.extend(new_events)
+            denom = dot(p, w)
+            if denom == 0.0 or not math.isfinite(denom):
+                raise SolverDivergedError(
+                    f"search direction degenerated at iteration {k} (p.Ap = {denom})",
+                    report=report(False, k), x=x,
+                )
+            alpha = rho / denom
+            x = x + alpha * p
+            if not reliable:
+                r = r - alpha * w
+                rho_new = dot(r, r)
+                if not math.isfinite(rho_new):
+                    raise SolverDivergedError(
+                        f"non-finite residual at iteration {k}", report=report(False, k), x=x
+                    )
+                rel = math.sqrt(rho_new) / bnorm
+                if not (stabilize and rel <= cfg.tol):
+                    hist.append(rel)
+                    if rel <= cfg.tol:
+                        return x, report(True, k)
+                    p = r + (rho_new / rho) * p
+                    rho = rho_new
+                    continue
+            # Trusted path, on schedule or to verify a claimed convergence (a
+            # corrupted recurrence can claim it while the true residual is large):
+            # recompute the residual and restart the direction from it.
+            r = p = rhs - gemv(m, x)
+            products += 1
+            rho = dot(r, r)
+            if reliable and not math.isfinite(rho):
+                raise SolverDivergedError(
+                    f"non-finite state after correction at iteration {k}",
+                    report=report(False, k), x=x,
+                )
+            rel = math.sqrt(rho) / bnorm
+            hist.append(rel)
+            if rel <= cfg.tol:
+                return x, report(True, k)
 
-    return x, report(False, cfg.resolved_max_iter(n))
+        return x, report(False, cfg.resolved_max_iter(n))
 
 
 def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveReport]:

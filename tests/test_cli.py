@@ -279,6 +279,7 @@ class TestBadSettings:
             ["solve-ss", "--size", "8", "--fault-rate", "2"],
             ["solve", "--size", "8", "--max-iter", "0"],
             ["solve", "--size", "8", "--tol", "-1"],
+            ["solve", "--size", "2", "--tol", "inf"],
             ["solve-ss", "--size", "8", "--fault-rate", "-0.5"],
             ["solve-ss", "--size", "8", "--fault-rate", "nan"],
             ["solve-ss", "--size", "8", "--fault-rate", "0.5", "--flips", "100"],
@@ -293,6 +294,20 @@ class TestBadSettings:
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines()[-1].startswith("isocg: ")
         assert result.stdout == ""
+
+
+class TestDivergenceMessage:
+    def test_overflowing_faults_print_one_line(self):
+        # Exponent flips overflow the products; numpy's RuntimeWarning must
+        # not reach stderr ahead of the one-line divergence message.
+        result = subprocess.run(
+            [sys.executable, "-m", "isocg", "solve-ss", "--size", "32", "--fault-rate", "1",
+             "--fault-bits", "exponent", "--flips", "3", "--ss-period", "50"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("solver diverged: ")
 
 
 class TestNonFiniteSystemFile:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -193,3 +194,88 @@ class TestSerialization:
             assert doc["bit_positions"] == event.bit_positions
             assert int(doc["before"], 16) == event.before
             assert int(doc["after"], 16) == event.after
+
+
+class TestStreamDigest:
+    """Every draw of the injector, through its outputs and events, bit for bit."""
+
+    # sha256 of ``_digest()``, recorded before the firing path was rewritten.
+    PINNED = "9766bf5b5211048d617c44906475d13d7629007441088e70ee60531dccec00ae"
+
+    @staticmethod
+    def _vector(n):
+        # Exact arithmetic, so the digest does not depend on a numpy generator;
+        # the special values put zeros, a subnormal and values near the
+        # overflow edge under the flips.
+        v = (np.arange(n) - n // 3) * 0.75
+        specials = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1e300, 2.0**-1022]
+        v[: min(n, len(specials))] = specials[: min(n, len(specials))]
+        return v[::-1].copy()
+
+    @staticmethod
+    def _digest():
+        h = hashlib.sha256()
+
+        def feed(label, policy, v, calls):
+            h.update(label.encode())
+            inj = FaultInjector(policy)
+            for _ in range(calls):
+                # Feeding each output back in lets faults accumulate, so later
+                # draws see the values earlier ones made.
+                v, events = inj.inject(v)
+                h.update(v.tobytes())
+                h.update(events_to_jsonl(events).encode())
+
+        for domain in sorted(BIT_DOMAINS):
+            for flips in (1, 2, 3):
+                if flips > len(BIT_DOMAINS[domain]):
+                    continue
+                for allow in (False, True):
+                    for n in (1, 7, 64):
+                        for rate in (0.5, 1.0):
+                            policy = FaultPolicy(rate=rate, flips_per_event=flips,
+                                                 bit_domain=domain, seed=n + flips,
+                                                 allow_nonfinite=allow)
+                            label = f"{domain} x{flips} allow={allow} n={n} rate={rate}"
+                            feed(label, policy, TestStreamDigest._vector(n), 25)
+        # Exponent flips at the overflow edge redraw; eleven exponent flips of
+        # zero always overflow and fall back to sign/mantissa flips.
+        for flips in (1, 2):
+            feed(f"redraw x{flips}", FaultPolicy(rate=1.0, flips_per_event=flips,
+                                                 bit_domain="exponent", seed=7),
+                 np.full(8, 1.7976931348623157e308), 40)
+        for allow in (False, True):
+            feed(f"fallback allow={allow}", FaultPolicy(rate=1.0, flips_per_event=11,
+                                                        bit_domain="exponent", seed=9,
+                                                        allow_nonfinite=allow),
+                 np.zeros(4), 5)
+        return h.hexdigest()
+
+    def test_digest_matches_pinned(self):
+        assert self._digest() == self.PINNED
+
+
+class TestOneDrawEquivalence:
+    """One bounded draw from [0, k) is the same via ``integers`` and ``choice``.
+
+    The injector draws one flip position with ``rng.integers(0, k)`` and
+    several with ``choice``, so a one-flip stream must not depend on which
+    of the two drew it.  This holds them to the same value and the same
+    generator state, interleaved with the injector's other draws; a numpy
+    release that breaks the equivalence fails here.
+    """
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_integers_matches_choice_of_one(self, seed):
+        ks = [1, 2, 11, 52, 53, 64, 512, 4096, 2**31 - 1]
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        for step in range(60):
+            k = ks[step % len(ks)]
+            assert a.random() == b.random()
+            assert a.integers(0, 64) == b.integers(0, 64)
+            assert int(a.integers(0, k)) == int(b.choice(k, size=1, replace=False)[0])
+            if step % 7 == 0:
+                assert np.array_equal(a.choice(64, size=2, replace=False),
+                                      b.choice(64, size=2, replace=False))
+        assert a.bit_generator.state == b.bit_generator.state

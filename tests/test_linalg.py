@@ -15,13 +15,62 @@ from isocg import (
     gen_spd_diag_dominant,
     gen_spd_spectrum,
 )
-from isocg.linalg import PreparedMatrix
+from isocg.linalg import PreparedMatrix, as_vector
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+class TestAsVector:
+    """Valid vectors come back untouched; everything else converts as ``np.asarray`` does."""
+
+    def test_native_float64_vector_is_returned_as_is(self, rng):
+        v = rng.standard_normal(5)
+        assert as_vector(v) is v
+        column = np.arange(12.0).reshape(4, 3)[:, 1]
+        assert as_vector(column) is column
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [1.0, -2.5, 3],
+            lambda: (0.5, 7),
+            lambda: np.arange(5, dtype=np.int64),
+            lambda: np.linspace(-1, 1, 5, dtype=np.float32),
+            lambda: np.linspace(-1, 1, 5).astype(">f8"),
+            lambda: np.arange(10.0)[::3],
+            lambda: np.arange(10.0)[::-2],
+            lambda: np.arange(10.0).astype(">f8")[::2],
+            lambda: np.arange(4.0).view(_Sub),
+            lambda: np.ma.array([1.0, 2.0, 3.0]),
+        ],
+        ids=["list", "tuple", "int64", "float32", "big-endian", "strided", "reversed",
+             "strided big-endian", "subclass", "masked"],
+    )
+    def test_other_inputs_convert_as_before(self, make):
+        src = make()
+        got = as_vector(src)
+        expected = np.asarray(src, dtype=np.float64)
+        assert type(got) is np.ndarray
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert np.array_equal(bits(got), bits(expected))
+        assert (got is src) == (expected is src)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((2, 2)), np.zeros((3, 1)), np.zeros(0), [], [[1.0, 2.0]], 3.0, np.float64(2.0)],
+        ids=["2x2", "3x1", "empty", "empty list", "nested list", "scalar", "0-d"],
+    )
+    def test_bad_shapes_raise(self, bad):
+        with pytest.raises(DimensionMismatchError):
+            as_vector(bad)
 
 
 class TestGemv:

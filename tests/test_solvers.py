@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import isocg.solvers
 import oracles
 from isocg import (
     DimensionMismatchError,
@@ -251,6 +252,59 @@ class TestSolveConfig:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             SolveConfig(tol=float("nan"))
+
+    def test_infinite_tolerance_rejected(self):
+        # an infinite tol would accept any residual after one iteration
+        with pytest.raises(ValueError, match="tol"):
+            SolveConfig(tol=float("inf"))
+
+
+class TestKernelSeams:
+    """The loop calls ``gemv``, ``dot`` and ``inject`` through the attributes a tracer wraps.
+
+    A loop that bound a kernel locally would bypass the counting wrappers
+    installed here, and the counts would fall short of the formulas.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"gemv": 0, "dot": 0, "inject": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(isocg.solvers, "gemv", counting("gemv", isocg.solvers.gemv))
+        monkeypatch.setattr(isocg.solvers, "dot", counting("dot", isocg.solvers.dot))
+        monkeypatch.setattr(FaultInjector, "inject", counting("inject", FaultInjector.inject))
+        return counts
+
+    @pytest.mark.parametrize("period", [3, 10])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    def test_sscg_counts(self, calls, rate, period):
+        n = 64
+        a, b = spectrum_problem(n, 4, 1e3)
+        cfg = SolveConfig(ss_period=period, fault_policy=FaultPolicy(rate=rate, seed=period))
+        _, report = sscg_solve(a, b, cfg)
+        assert report.converged
+        k = report.iterations
+        products = report.flops // (2 * n * n)
+        assert calls["gemv"] == products
+        assert calls["inject"] == k - k // period
+        assert calls["dot"] == 2 + k + products - k // period
+
+    @pytest.mark.parametrize("rate", [None, 0.1, 0.5])
+    def test_cg_counts(self, calls, rate):
+        n = 64
+        a, b = dd_problem(n, 4)
+        policy = None if rate is None else FaultPolicy(rate=rate, seed=3)
+        _, report = cg_solve(a, b, SolveConfig(fault_policy=policy))
+        k = report.iterations
+        assert calls["gemv"] == k
+        assert calls["inject"] == (0 if rate is None else k)
+        assert calls["dot"] == 2 + 2 * k
 
 
 class TestUnbufferedScope:
