@@ -48,6 +48,7 @@ from .iso import (
     iso_capacity_clusters,
     iso_performance_clusters,
     iso_power_clusters,
+    match,
     solve_hybrid_for_mode,
 )
 from .linalg import dot, gemv, gen_spd_diag_dominant, gen_spd_spectrum
@@ -133,6 +134,7 @@ __all__ = [
     "hybrid_watts",
     "hybrid_report",
     "solve_hybrid_for_mode",
+    "match",
     "ets",
     "ets_curve",
     "breakeven_degradation",

@@ -25,14 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import iso as iso_mod
-from .errors import (
-    InfeasibleError,
-    IsocgError,
-    NoBreakEvenError,
-    SampleSetError,
-    SolverDivergedError,
-    UnknownMachineError,
-)
+from .errors import IsocgError, NoBreakEvenError, SolverDivergedError, UnknownMachineError
 from .faults import FaultPolicy
 from .linalg import PreparedMatrix, as_square_matrix, as_vector, gemv, gen_spd_diag_dominant
 from .machine import default_data_dir, load_sampleset
@@ -44,14 +37,15 @@ EXIT_USAGE = 64
 EXIT_DATAERR = 65
 EXIT_NOINPUT = 66
 
-_MODE_BY_FLAG = {
+# iso --mode takes these flags; ets --mode takes them with an "iso-" prefix.
+_MODE_FLAGS = {
     "perf": iso_mod.ISO_PERFORMANCE,
     "power": iso_mod.ISO_POWER,
     "capacity": iso_mod.ISO_CAPACITY,
-    "iso-perf": iso_mod.ISO_PERFORMANCE,
-    "iso-power": iso_mod.ISO_POWER,
-    "iso-capacity": iso_mod.ISO_CAPACITY,
 }
+
+# Types of the fields of a machine address, after the machine name.
+_ADDRESS_FIELDS = {"cores": int, "freq": float}
 
 _FAULT_BITS = {"sign", "mantissa", "sign-mantissa", "exponent", "any"}
 
@@ -250,25 +244,20 @@ def _cmd_solve_ss(args) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
-def _parse_ref(value: str, parser, *, want: str):
-    parts = value.split(":")
-    if want == "full" and len(parts) != 3:
-        parser.error(f"expected machine:cores:freq, got {value!r}")
-    if len(parts) == 1:
-        return parts[0], None, None
-    if len(parts) == 2:
-        name, freq = parts
-        try:
-            return name, None, float(freq)
-        except ValueError:
-            parser.error(f"bad frequency in {value!r}")
-    if len(parts) == 3:
-        name, cores, freq = parts
-        try:
-            return name, int(cores), float(freq)
-        except ValueError:
-            parser.error(f"bad cores/frequency in {value!r}")
-    parser.error(f"cannot parse machine reference {value!r}")
+def _parse_address(value: str, parser, form: str, *, bare: bool):
+    """The machine name and typed fields of ``value`` written in ``form``, e.g.
+    ``machine:cores:freq``.  With ``bare``, a lone name is also accepted and
+    gives ``None`` for every field."""
+    name, *parts = value.split(":")
+    fields = form.split(":")[1:]
+    if bare and not parts:
+        return (name, *(None for _ in fields))
+    if len(parts) != len(fields):
+        parser.error(f"expected {'machine or ' if bare else ''}{form}, got {value!r}")
+    try:
+        return (name, *(_ADDRESS_FIELDS[f](part) for f, part in zip(fields, parts)))
+    except ValueError:
+        parser.error(f"bad {'/'.join(fields)} in {value!r}")
 
 
 def _load_data(args):
@@ -295,56 +284,34 @@ def _emit_iso_csv(report: iso_mod.IsoReport) -> None:
     print(",".join(report.csv_row()))
 
 
-def _cmd_iso(args) -> int:
-    parser = args.parser
-    mode = _MODE_BY_FLAG[args.mode]
+def _match_args(args, problem_class: str, *, bare: bool):
+    """``--ref`` and ``--target`` looked up in the data set, as the operating
+    points (``None`` for a bare name) and LLC sizes :func:`iso.match` takes."""
     sset = _load_data(args)
-    ref_name, ref_cores, ref_freq = _parse_ref(args.ref, parser, want="any")
-    tgt_name, tgt_cores, tgt_freq = _parse_ref(args.target, parser, want="any")
-    if tgt_cores is not None:
-        parser.error("--target takes machine[:freq], cores are fixed per cluster")
-
+    ref_name, cores, ref_freq = _parse_address(args.ref, args.parser, "machine:cores:freq",
+                                               bare=bare)
+    tgt_name, tgt_freq = _parse_address(args.target, args.parser, "machine:freq", bare=bare)
     ref_spec = sset.spec(ref_name)
     tgt_spec = sset.spec(tgt_name)
-    ref_sample = None
-    if ref_cores is not None and ref_freq is not None:
-        ref_sample = sset.sample(ref_name, ref_cores, ref_freq, args.problem_class)
-    tgt_sample = None
+    ref = None if ref_freq is None else sset.sample(ref_name, cores, ref_freq, problem_class)
+    target = None
     if tgt_freq is not None:
-        tgt_sample = sset.sample(tgt_name, tgt_spec.cores_per_unit, tgt_freq, args.problem_class)
+        target = sset.sample(tgt_name, tgt_spec.cores_per_unit, tgt_freq, problem_class)
+    llc = {"ref_llc_bytes": ref_spec.llc_bytes, "target_llc_bytes": tgt_spec.llc_bytes}
+    return ref, target, llc
 
-    if args.hybrid:
-        if ref_sample is None or tgt_sample is None:
+
+def _cmd_iso(args) -> int:
+    parser = args.parser
+    ref, target, llc = _match_args(args, args.problem_class, bare=True)
+    # Only the plain capacity query can do without operating points.
+    if ref is None or target is None:
+        if args.hybrid:
             parser.error("--hybrid requires --ref machine:cores:freq and --target machine:freq")
-        template = iso_mod.HybridSystem(
-            reliable=ref_sample, unreliable=tgt_sample, n_unreliable=1.0,
-            ss_fraction=args.ss_fraction,
-        )
-        report = iso_mod.solve_hybrid_for_mode(
-            mode, template, ref_sample,
-            ref_llc_bytes=ref_spec.llc_bytes, unreliable_llc_bytes=tgt_spec.llc_bytes,
-        )
-    elif mode == iso_mod.ISO_CAPACITY:
-        count = iso_mod.iso_capacity_clusters(ref_spec.llc_bytes, tgt_spec.llc_bytes)
-        achieved_g = count * tgt_sample.gflops if tgt_sample else None
-        achieved_w = count * tgt_sample.watts if tgt_sample else None
-        ratios = {}
-        if ref_sample is not None and tgt_sample is not None:
-            ratios = iso_mod._ratios(achieved_g, achieved_w, ref_sample)
-        report = iso_mod.IsoReport(mode, count, achieved_g, achieved_w, ratios)
-    else:
-        if ref_sample is None or tgt_sample is None:
+        if args.mode != "capacity":
             parser.error("--mode perf/power requires --ref machine:cores:freq and --target machine:freq")
-        if mode == iso_mod.ISO_PERFORMANCE:
-            count = iso_mod.iso_performance_clusters(ref_sample.gflops, tgt_sample.gflops)
-        else:
-            count = iso_mod.iso_power_clusters(ref_sample.watts, tgt_sample.watts)
-        achieved_g = count * tgt_sample.gflops
-        achieved_w = count * tgt_sample.watts
-        report = iso_mod.IsoReport(
-            mode, count, achieved_g, achieved_w, iso_mod._ratios(achieved_g, achieved_w, ref_sample)
-        )
-
+    report = iso_mod.match(_MODE_FLAGS[args.mode], ref, target, **llc,
+                           ss_fraction=args.ss_fraction if args.hybrid else 0.0)
     if args.json:
         sys.stdout.write(report.to_json())
     elif args.csv:
@@ -393,28 +360,11 @@ def _seed(value: str) -> int:
 
 
 def _cmd_ets(args) -> int:
-    parser = args.parser
     _check_size(args)
-    mode = _MODE_BY_FLAG[args.mode]
-    sset = _load_data(args)
-    ref_name, ref_cores, ref_freq = _parse_ref(args.ref, parser, want="full")
-    tgt_name, _, tgt_freq = _parse_ref(args.target, parser, want="any")
-    if tgt_freq is None:
-        parser.error("--target must be machine:freq")
-    ref_spec = sset.spec(ref_name)
-    tgt_spec = sset.spec(tgt_name)
-    ref_sample = sset.sample(ref_name, ref_cores, ref_freq, "on_chip")
-    tgt_sample = sset.sample(tgt_name, tgt_spec.cores_per_unit, tgt_freq, "on_chip")
-
-    template = iso_mod.HybridSystem(
-        reliable=ref_sample, unreliable=tgt_sample, n_unreliable=1.0,
-        ss_fraction=args.ss_fraction,
-    )
-    report = iso_mod.solve_hybrid_for_mode(
-        mode, template, ref_sample,
-        ref_llc_bytes=ref_spec.llc_bytes, unreliable_llc_bytes=tgt_spec.llc_bytes,
-    )
-    hybrid = template.with_clusters(report.cluster_count)
+    ref_sample, tgt_sample, llc = _match_args(args, "on_chip", bare=False)
+    report = iso_mod.match(_MODE_FLAGS[args.mode.removeprefix("iso-")], ref_sample, tgt_sample,
+                           **llc, ss_fraction=args.ss_fraction)
+    hybrid = iso_mod.HybridSystem(ref_sample, tgt_sample, report.cluster_count, args.ss_fraction)
 
     # Work for the modelled problem: a fault-free solve fixes the iteration count.
     a = PreparedMatrix(gen_spd_diag_dominant(args.size, args.seed))
@@ -434,16 +384,13 @@ def _cmd_ets(args) -> int:
     if args.json:
         _emit_json(
             {
-                "mode": mode,
+                "mode": report.mode,
                 "cluster_count": report.cluster_count,
                 "flops_total": flops_total,
                 "problem_size": args.size,
                 "iterations": solve_report.iterations,
                 "reference": {"gflops": ref_sample.gflops, "watts": ref_sample.watts},
-                "hybrid": {
-                    "gflops": iso_mod.hybrid_gflops(hybrid),
-                    "watts": iso_mod.hybrid_watts(hybrid),
-                },
+                "hybrid": {"gflops": report.achieved_gflops, "watts": report.achieved_watts},
                 "breakeven_percent": None if breakeven is None else 100.0 * breakeven,
                 "points": [
                     {
@@ -496,7 +443,7 @@ def build_parser() -> _Parser:
     solve_ss.set_defaults(func=_cmd_solve_ss)
 
     iso = subs.add_parser("iso", help="iso-metric cluster matching")
-    iso.add_argument("--mode", choices=["perf", "power", "capacity"], required=True)
+    iso.add_argument("--mode", choices=list(_MODE_FLAGS), required=True)
     iso.add_argument("--ref", required=True, help="reference, machine[:cores:freq]")
     iso.add_argument("--target", required=True, help="target cluster, machine[:freq]")
     iso.add_argument("--data", default=None, help="samples.csv or data directory")
@@ -511,7 +458,7 @@ def build_parser() -> _Parser:
     iso.set_defaults(func=_cmd_iso)
 
     ets = subs.add_parser("ets", help="energy-to-solution vs degradation")
-    ets.add_argument("--mode", choices=["iso-perf", "iso-power", "iso-capacity"],
+    ets.add_argument("--mode", choices=[f"iso-{flag}" for flag in _MODE_FLAGS],
                      default="iso-perf")
     ets.add_argument("--degradation", type=_parse_degradation, default=_parse_degradation("0:400:10"),
                      help="percent range start:stop:step (default 0:400:10)")
@@ -542,9 +489,6 @@ def run(argv=None) -> int:
         print(f"isocg: {exc}", file=sys.stderr)
         if exc.available:
             print("available: " + ", ".join(exc.available), file=sys.stderr)
-        return EXIT_DATAERR
-    except (SampleSetError, InfeasibleError, NoBreakEvenError) as exc:
-        print(f"isocg: {exc}", file=sys.stderr)
         return EXIT_DATAERR
     except IsocgError as exc:
         print(f"isocg: {exc}", file=sys.stderr)

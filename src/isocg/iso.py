@@ -14,6 +14,9 @@ n unreliable clusters,
     P(n) = alpha * P_rel + (1 - alpha) * n * P_unrel
 
 Both are affine in n, so every matching query inverts in closed form.
+At alpha = 0 the model is the plain query, n clusters alone matching the
+reference; :func:`match` answers both through :func:`solve_hybrid_for_mode`,
+and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
 A time-weighted harmonic composition is available behind
 ``composition="harmonic"`` for sensitivity studies.
 """
@@ -39,6 +42,7 @@ __all__ = [
     "hybrid_gflops",
     "hybrid_watts",
     "solve_hybrid_for_mode",
+    "match",
     "ets",
     "ets_curve",
     "breakeven_degradation",
@@ -98,8 +102,9 @@ class HybridSystem:
 
     ``reliable``/``unreliable`` are per-cluster operating points; the
     reliable side executes the stabilizing fraction ``ss_fraction`` of the
-    iterations.  Fractional cluster counts are first-class; rounding is an
-    explicit, separate step.
+    iterations, in [0, 1); at 0 the unreliable clusters do all the work.
+    Fractional cluster counts are first-class; rounding is an explicit,
+    separate step.
     """
 
     reliable: PerfSample
@@ -109,8 +114,8 @@ class HybridSystem:
     composition: str = "arithmetic"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ss_fraction < 1.0:
-            raise ValueError(f"ss_fraction must lie in (0, 1), got {self.ss_fraction}")
+        if not 0.0 <= self.ss_fraction < 1.0:
+            raise ValueError(f"ss_fraction must lie in [0, 1), got {self.ss_fraction}")
         if self.n_unreliable <= 0:
             raise ValueError(f"n_unreliable must be > 0, got {self.n_unreliable}")
         if self.composition not in COMPOSITIONS:
@@ -183,16 +188,6 @@ class IsoReport:
         ]
 
 
-def _ratios(g_hybrid: float, p_hybrid: float, ref: PerfSample) -> dict[str, float]:
-    return {
-        "perf_vs_ref": g_hybrid / ref.gflops,
-        "power_vs_ref": p_hybrid / ref.watts,
-        "ref_perf_vs_target": ref.gflops / g_hybrid,
-        "ref_power_vs_target": ref.watts / p_hybrid,
-        "efficiency_vs_ref": (g_hybrid / p_hybrid) / (ref.gflops / ref.watts),
-    }
-
-
 def hybrid_report(mode: str, h: HybridSystem, ref: PerfSample | None = None) -> IsoReport:
     """Evaluate a hybrid and package it with ratios against a reference.
 
@@ -201,13 +196,14 @@ def hybrid_report(mode: str, h: HybridSystem, ref: PerfSample | None = None) -> 
     ref = ref if ref is not None else h.reliable
     g = hybrid_gflops(h)
     p = hybrid_watts(h)
-    return IsoReport(
-        mode=mode,
-        cluster_count=h.n_unreliable,
-        achieved_gflops=g,
-        achieved_watts=p,
-        ratios=_ratios(g, p, ref),
-    )
+    ratios = {
+        "perf_vs_ref": g / ref.gflops,
+        "power_vs_ref": p / ref.watts,
+        "ref_perf_vs_target": ref.gflops / g,
+        "ref_power_vs_target": ref.watts / p,
+        "efficiency_vs_ref": (g / p) / (ref.gflops / ref.watts),
+    }
+    return IsoReport(mode, h.n_unreliable, g, p, ratios)
 
 
 def solve_hybrid_for_mode(
@@ -268,6 +264,40 @@ def solve_hybrid_for_mode(
             n = (1.0 - alpha) / (g_unrel * slack)
 
     return hybrid_report(mode, template.with_clusters(n), ref)
+
+
+def match(
+    mode: str,
+    ref: PerfSample | None,
+    target: PerfSample | None,
+    *,
+    ref_llc_bytes: float,
+    target_llc_bytes: float,
+    ss_fraction: float = 0.0,
+) -> IsoReport:
+    """How many ``target`` clusters match ``ref`` in ``mode``.
+
+    With ``ss_fraction`` alpha > 0 the clusters run beside a reliable
+    cluster at ``ref``'s operating point that does alpha of the work; at 0
+    they stand alone.  Both are :func:`solve_hybrid_for_mode` on a
+    :class:`HybridSystem` of ``ref`` and ``target``.  Only the plain
+    iso_capacity query may lack an operating point (``None``): it then
+    returns the LLC ratio, with achieved figures when ``target`` is known
+    and no ratios.  Any other query without both raises ``ValueError``.
+    """
+    if ref is not None and target is not None:
+        return solve_hybrid_for_mode(
+            mode, HybridSystem(ref, target, 1.0, ss_fraction), ref,
+            ref_llc_bytes=ref_llc_bytes, unreliable_llc_bytes=target_llc_bytes,
+        )
+    if mode != ISO_CAPACITY or ss_fraction != 0.0:
+        raise ValueError(
+            f"{mode} at ss_fraction {ss_fraction} needs the operating points of ref and target"
+        )
+    count = iso_capacity_clusters(ref_llc_bytes, target_llc_bytes)
+    if target is None:
+        return IsoReport(mode, count)
+    return IsoReport(mode, count, count * target.gflops, count * target.watts)
 
 
 @dataclass(frozen=True)

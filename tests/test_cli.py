@@ -1,8 +1,11 @@
+import ast
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +251,80 @@ class TestEts:
         _, out1, _ = run_cli(capsys, "ets", "--degradation", "0:50:10")
         _, out2, _ = run_cli(capsys, "ets", "--degradation", "0:50:10")
         assert out1 == out2
+
+
+class TestModelOutputDigest:
+    """Exit codes and stdout of the iso and ets queries, plain and hybrid, byte for byte."""
+
+    # sha256 of ``_digest()``, recorded before iso and ets shared one matching call.
+    PINNED = "1e2bc2d1f61ff0b7a48bdc5445d8c6504d5bb6b683c4bde373fae342b4bedfa3"
+
+    @staticmethod
+    def _argvs():
+        for mode in ("perf", "power", "capacity"):
+            for ref in ("xeon:8:2.0", "a15:4:1.6", "xeon", "a15"):
+                for target in ("a7:0.5", "a15:1.6", "a7"):
+                    for fmt in ([], ["--json"], ["--csv"], ["--hybrid", "--json"],
+                                ["--hybrid", "--csv"]):
+                        yield ["iso", "--mode", mode, "--ref", ref, "--target", target, *fmt]
+        for mode in ("iso-perf", "iso-power", "iso-capacity"):
+            for fmt in ([], ["--json"]):
+                for fraction in ([], ["--ss-fraction", "0.5"]):
+                    yield ["ets", "--size", "16", "--mode", mode, *fmt, *fraction]
+
+    @staticmethod
+    def _digest():
+        h = hashlib.sha256()
+        for argv in TestModelOutputDigest._argvs():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            h.update(repr((argv, code, out.getvalue())).encode())
+        return h.hexdigest()
+
+    def test_digest_matches_pinned(self):
+        assert self._digest() == self.PINNED
+
+
+class TestMachineAddress:
+    """A ref is machine or machine:cores:freq and a target machine or machine:freq;
+    any other form is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["ets", "--size", "16", "--target", "a7:2:0.5"],
+             "expected machine:freq, got 'a7:2:0.5'"),
+            (["iso", "--mode", "capacity", "--ref", "a15:0.8", "--target", "a7"],
+             "expected machine or machine:cores:freq, got 'a15:0.8'"),
+        ],
+        ids=["ets-target-with-cores", "iso-ref-without-cores"],
+    )
+    def test_exit_64_with_one_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"isocg: error: {message}"]
+
+
+class TestCliBoundary:
+    def test_cli_uses_public_library_names_only(self):
+        tree = ast.parse(Path(isocg.cli.__file__).read_text(encoding="utf-8"))
+        private = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "isocg"):
+                private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "iso_mod" and node.attr.startswith("_")):
+                private.append(f"iso_mod.{node.attr}")
+        assert private == []
 
 
 class TestSubprocessEntryPoints:

@@ -19,6 +19,7 @@ from isocg import (
     iso_capacity_clusters,
     iso_performance_clusters,
     iso_power_clusters,
+    match,
     solve_hybrid_for_mode,
 )
 from isocg.iso import ISO_REPORT_COLUMNS
@@ -316,3 +317,76 @@ class TestIsoReport:
         assert report.ratios["ref_perf_vs_target"] == pytest.approx(
             template.reliable.gflops / hybrid_gflops(template.with_clusters(4.0)), rel=1e-12
         )
+
+
+# (machine, cores, freq) of the references and targets the matching tests pair up.
+REFS = [("xeon", 8, 2.0), ("a15", 4, 1.6)]
+TARGETS = [("a7", 4, 0.5), ("a15", 4, 1.6)]
+
+
+def llc_bytes(data, ref, target):
+    return {"ref_llc_bytes": data.spec(ref[0]).llc_bytes,
+            "target_llc_bytes": data.spec(target[0]).llc_bytes}
+
+
+class TestMatch:
+    """``match`` is the hybrid model; at ss_fraction 0 it is the plain query, bit for bit."""
+
+    @pytest.mark.parametrize("ref", REFS)
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_plain_query_equals_closed_forms(self, bundled_data, ref, target):
+        r, t = bundled_data.sample(*ref), bundled_data.sample(*target)
+        llc = llc_bytes(bundled_data, ref, target)
+        expected = {
+            ISO_PERFORMANCE: iso_performance_clusters(r.gflops, t.gflops),
+            ISO_POWER: iso_power_clusters(r.watts, t.watts),
+            ISO_CAPACITY: iso_capacity_clusters(llc["ref_llc_bytes"], llc["target_llc_bytes"]),
+        }
+        for mode, count in expected.items():
+            report = match(mode, r, t, **llc)
+            assert report.mode == mode
+            assert report.cluster_count == count
+            assert report.achieved_gflops == count * t.gflops
+            assert report.achieved_watts == count * t.watts
+            assert report.ratios["perf_vs_ref"] == report.achieved_gflops / r.gflops
+            assert report.ratios["power_vs_ref"] == report.achieved_watts / r.watts
+
+    @pytest.mark.parametrize("mode", [ISO_PERFORMANCE, ISO_POWER, ISO_CAPACITY])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_hybrid_query_equals_solve_hybrid_for_mode(self, bundled_data, a15, a7, mode, alpha):
+        llc = llc_bytes(bundled_data, ("a15",), ("a7",))
+        expected = solve_hybrid_for_mode(
+            mode, HybridSystem(a15, a7, 1.0, alpha), a15,
+            ref_llc_bytes=llc["ref_llc_bytes"], unreliable_llc_bytes=llc["target_llc_bytes"],
+        )
+        assert match(mode, a15, a7, **llc, ss_fraction=alpha) == expected
+
+    def test_capacity_without_operating_points(self, bundled_data, a7):
+        llc = llc_bytes(bundled_data, ("xeon",), ("a7",))
+        count = iso_capacity_clusters(llc["ref_llc_bytes"], llc["target_llc_bytes"])
+        report = match(ISO_CAPACITY, None, None, **llc)
+        assert (report.cluster_count, report.achieved_gflops, report.achieved_watts) == (
+            count, None, None)
+        assert report.ratios == {}
+        report = match(ISO_CAPACITY, None, a7, **llc)
+        assert (report.achieved_gflops, report.achieved_watts) == (count * a7.gflops,
+                                                                  count * a7.watts)
+        assert report.ratios == {}
+
+    @pytest.mark.parametrize("mode", [ISO_PERFORMANCE, ISO_POWER])
+    def test_perf_and_power_need_operating_points(self, bundled_data, a15, a7, mode):
+        llc = llc_bytes(bundled_data, ("a15",), ("a7",))
+        for ref, target in [(None, None), (a15, None), (None, a7)]:
+            with pytest.raises(ValueError, match="needs the operating points"):
+                match(mode, ref, target, **llc)
+
+    def test_hybrid_capacity_needs_operating_points(self, bundled_data, a7):
+        with pytest.raises(ValueError, match="needs the operating points"):
+            match(ISO_CAPACITY, None, a7, **llc_bytes(bundled_data, ("a15",), ("a7",)),
+                  ss_fraction=0.1)
+
+    def test_hybrid_system_accepts_zero_reliable_share(self, a15, a7):
+        assert HybridSystem(a15, a7, 1.0, ss_fraction=0.0).ss_fraction == 0.0
+        for alpha in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                HybridSystem(a15, a7, 1.0, ss_fraction=alpha)
