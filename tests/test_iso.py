@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -390,3 +391,41 @@ class TestMatch:
         for alpha in (-0.1, 1.0):
             with pytest.raises(ValueError, match=r"\[0, 1\)"):
                 HybridSystem(a15, a7, 1.0, ss_fraction=alpha)
+
+
+class TestHybridDigest:
+    """The hybrid model's outputs over a grid of operating points, bit for bit."""
+
+    # sha256 of ``_digest()``, recorded before the harmonic composition was deleted.
+    PINNED = "20fabf9791cdcd099c6a5f52394ae6f6e1ce5d1a3e5a7c9132a5c358d9faf317"
+
+    # (reliable, unreliable) pairs, as (machine, cores, freq).
+    PAIRS = [(("a15", 4, 1.6), ("a7", 4, 0.5)), (("xeon", 8, 2.0), ("a15", 4, 1.6))]
+    ALPHAS = [0.0, 0.1, 2.0 / 11.0, 0.5, 0.9]
+    COUNTS = [1.0, 5.526315789473684, 38.85, 1000.0]
+
+    @staticmethod
+    def _digest(data):
+        h = hashlib.sha256()
+        for rel, unrel in TestHybridDigest.PAIRS:
+            r, u = data.sample(*rel), data.sample(*unrel)
+            llc = {"ref_llc_bytes": data.spec(rel[0]).llc_bytes,
+                   "unreliable_llc_bytes": data.spec(unrel[0]).llc_bytes}
+            for alpha in TestHybridDigest.ALPHAS:
+                for n in TestHybridDigest.COUNTS:
+                    hybrid = HybridSystem(r, u, n, alpha)
+                    values = [hybrid_gflops(hybrid), hybrid_watts(hybrid)]
+                    try:
+                        values.append(breakeven_degradation(r, hybrid))
+                    except NoBreakEvenError:
+                        pass
+                    for mode in (ISO_PERFORMANCE, ISO_POWER, ISO_CAPACITY):
+                        try:
+                            values.append(solve_hybrid_for_mode(mode, hybrid, r, **llc))
+                        except InfeasibleError:
+                            pass
+                    h.update(repr((rel, unrel, alpha, n, values)).encode())
+        return h.hexdigest()
+
+    def test_digest_matches_pinned(self, bundled_data):
+        assert self._digest(bundled_data) == self.PINNED
