@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import iso as iso_mod
 from .errors import IsocgError, NoBreakEvenError, SolverDivergedError, UnknownMachineError
-from .faults import FaultPolicy
+from .faults import BIT_DOMAINS, FaultPolicy
 from .linalg import PreparedMatrix, as_square_matrix, as_vector, gemv, gen_spd_diag_dominant
-from .machine import default_data_dir, load_sampleset
+from .machine import PROBLEM_CLASSES, default_data_dir, load_sampleset
 from .solvers import SolveConfig, cg_solve, sscg_solve
 
 EXIT_OK = 0
@@ -46,8 +47,6 @@ _MODE_FLAGS = {
 
 # Types of the fields of a machine address, after the machine name.
 _ADDRESS_FIELDS = {"cores": int, "freq": float}
-
-_FAULT_BITS = {"sign", "mantissa", "sign-mantissa", "exponent", "any"}
 
 # Largest relative asymmetry max|A - Aᵀ| / max|A| of a --matrix file.
 # gen_spd_spectrum leaves 6e-17 to 1.3e-16 at n = 8..2048.
@@ -208,13 +207,13 @@ def _cmd_solve_ss(args) -> int:
             bit_domain=args.fault_bits.replace("-", "_"),
             seed=args.fault_seed,
         )
-    baseline_cfg = _settings(SolveConfig, tol=args.tol, max_iter=args.max_iter,
-                             ss_period=args.ss_period)
-    cfg = dataclasses.replace(baseline_cfg, fault_policy=policy)
+    cfg = _settings(SolveConfig, tol=args.tol, max_iter=args.max_iter, ss_period=args.ss_period)
     a, b = _build_problem(args)
     try:
-        _, baseline = sscg_solve(a, b, baseline_cfg)
-        x, report = sscg_solve(a, b, cfg)
+        x, baseline = sscg_solve(a, b, cfg)
+        report = baseline
+        if policy is not None:  # without faults the run would repeat the baseline bit for bit
+            x, report = sscg_solve(a, b, dataclasses.replace(cfg, fault_policy=policy))
     except SolverDivergedError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -301,8 +300,20 @@ def _match_args(args, problem_class: str, *, bare: bool):
     return ref, target, llc
 
 
+def _ss_fraction(args) -> float:
+    """The reliable share alpha: ``--ss-fraction``, in (0, 1), or 0.1 without it."""
+    if args.ss_fraction is None:
+        return 0.1
+    if not 0.0 < args.ss_fraction < 1.0:
+        args.parser.error(f"--ss-fraction must lie in (0, 1), got {args.ss_fraction}")
+    return args.ss_fraction
+
+
 def _cmd_iso(args) -> int:
     parser = args.parser
+    if args.ss_fraction is not None and not args.hybrid:
+        parser.error("--ss-fraction requires --hybrid")
+    alpha = _ss_fraction(args) if args.hybrid else 0.0
     ref, target, llc = _match_args(args, args.problem_class, bare=True)
     # Only the plain capacity query can do without operating points.
     if ref is None or target is None:
@@ -310,8 +321,7 @@ def _cmd_iso(args) -> int:
             parser.error("--hybrid requires --ref machine:cores:freq and --target machine:freq")
         if args.mode != "capacity":
             parser.error("--mode perf/power requires --ref machine:cores:freq and --target machine:freq")
-    report = iso_mod.match(_MODE_FLAGS[args.mode], ref, target, **llc,
-                           ss_fraction=args.ss_fraction if args.hybrid else 0.0)
+    report = iso_mod.match(_MODE_FLAGS[args.mode], ref, target, **llc, ss_fraction=alpha)
     if args.json:
         sys.stdout.write(report.to_json())
     elif args.csv:
@@ -360,11 +370,12 @@ def _seed(value: str) -> int:
 
 
 def _cmd_ets(args) -> int:
+    alpha = _ss_fraction(args)
     _check_size(args)
     ref_sample, tgt_sample, llc = _match_args(args, "on_chip", bare=False)
     report = iso_mod.match(_MODE_FLAGS[args.mode.removeprefix("iso-")], ref_sample, tgt_sample,
-                           **llc, ss_fraction=args.ss_fraction)
-    hybrid = iso_mod.HybridSystem(ref_sample, tgt_sample, report.cluster_count, args.ss_fraction)
+                           **llc, ss_fraction=alpha)
+    hybrid = iso_mod.HybridSystem(ref_sample, tgt_sample, report.cluster_count, alpha)
 
     # Work for the modelled problem: a fault-free solve fixes the iteration count.
     a = PreparedMatrix(gen_spd_diag_dominant(args.size, args.seed))
@@ -423,7 +434,8 @@ def _add_solve_flags(sub, ss: bool) -> None:
                          help="iterations between reliable corrections (default 10)")
         sub.add_argument("--fault-rate", type=float, default=0.0,
                          help="fault probability per injectable product (default 0)")
-        sub.add_argument("--fault-bits", choices=sorted(_FAULT_BITS), default="sign-mantissa",
+        sub.add_argument("--fault-bits", default="sign-mantissa",
+                         choices=sorted(d.replace("_", "-") for d in BIT_DOMAINS),
                          help="bit region eligible for flips")
         sub.add_argument("--flips", type=int, default=1, help="bits flipped per event")
         sub.add_argument("--fault-seed", type=_seed, default=0, help="injector RNG seed")
@@ -447,10 +459,10 @@ def build_parser() -> _Parser:
     iso.add_argument("--ref", required=True, help="reference, machine[:cores:freq]")
     iso.add_argument("--target", required=True, help="target cluster, machine[:freq]")
     iso.add_argument("--data", default=None, help="samples.csv or data directory")
-    iso.add_argument("--problem-class", choices=["on_chip", "off_chip"], default="on_chip")
+    iso.add_argument("--problem-class", choices=list(PROBLEM_CLASSES), default="on_chip")
     iso.add_argument("--hybrid", action="store_true",
                      help="compose reliable ref cluster + n unreliable target clusters")
-    iso.add_argument("--ss-fraction", type=float, default=0.1,
+    iso.add_argument("--ss-fraction", type=float, default=None,
                      help="fraction of work on the reliable cluster (default 0.1)")
     fmt = iso.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -465,7 +477,7 @@ def build_parser() -> _Parser:
     ets.add_argument("--data", default=None, help="samples.csv or data directory")
     ets.add_argument("--ref", default="a15:4:1.6", help="reliable reference, machine:cores:freq")
     ets.add_argument("--target", default="a7:0.5", help="unreliable cluster, machine:freq")
-    ets.add_argument("--ss-fraction", type=float, default=0.1)
+    ets.add_argument("--ss-fraction", type=float, default=None)
     ets.add_argument("--size", type=int, default=512, help="modelled problem order (default 512)")
     ets.add_argument("--seed", type=_seed, default=1, help="problem generator seed (default 1)")
     ets.add_argument("--json", action="store_true")
@@ -478,8 +490,6 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.parser = parser
-    if hasattr(args, "ss_fraction") and not 0.0 < args.ss_fraction < 1.0:
-        parser.error(f"--ss-fraction must lie in (0, 1), got {args.ss_fraction}")
     try:
         return args.func(args)
     except _CliError as exc:
@@ -496,6 +506,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # A closed stdout ends the process by SIGPIPE, as it does other Unix filters.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -17,8 +17,6 @@ Both are affine in n, so every matching query inverts in closed form.
 At alpha = 0 the model is the plain query, n clusters alone matching the
 reference; :func:`match` answers both through :func:`solve_hybrid_for_mode`,
 and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
-A time-weighted harmonic composition is available behind
-``composition="harmonic"`` for sensitivity studies.
 """
 
 from __future__ import annotations
@@ -52,8 +50,6 @@ ISO_PERFORMANCE = "iso_performance"
 ISO_POWER = "iso_power"
 ISO_CAPACITY = "iso_capacity"
 _MODES = (ISO_PERFORMANCE, ISO_POWER, ISO_CAPACITY)
-
-COMPOSITIONS = ("arithmetic", "harmonic")
 
 # Stable column order for CSV emission of IsoReport rows.
 ISO_REPORT_COLUMNS = [
@@ -111,45 +107,26 @@ class HybridSystem:
     unreliable: PerfSample
     n_unreliable: float
     ss_fraction: float = 0.1
-    composition: str = "arithmetic"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ss_fraction < 1.0:
             raise ValueError(f"ss_fraction must lie in [0, 1), got {self.ss_fraction}")
         if self.n_unreliable <= 0:
             raise ValueError(f"n_unreliable must be > 0, got {self.n_unreliable}")
-        if self.composition not in COMPOSITIONS:
-            raise ValueError(
-                f"composition must be one of {COMPOSITIONS}, got {self.composition!r}"
-            )
 
     def with_clusters(self, n_unreliable: float) -> "HybridSystem":
-        return HybridSystem(
-            self.reliable, self.unreliable, n_unreliable, self.ss_fraction, self.composition
-        )
+        return HybridSystem(self.reliable, self.unreliable, n_unreliable, self.ss_fraction)
 
 
 def hybrid_gflops(h: HybridSystem) -> float:
     alpha = h.ss_fraction
-    g_rel = h.reliable.gflops
     g_unrel = h.n_unreliable * h.unreliable.gflops
-    if h.composition == "arithmetic":
-        return alpha * g_rel + (1.0 - alpha) * g_unrel
-    return 1.0 / (alpha / g_rel + (1.0 - alpha) / g_unrel)
+    return alpha * h.reliable.gflops + (1.0 - alpha) * g_unrel
 
 
 def hybrid_watts(h: HybridSystem) -> float:
     alpha = h.ss_fraction
-    if h.composition == "arithmetic":
-        return alpha * h.reliable.watts + (1.0 - alpha) * h.n_unreliable * h.unreliable.watts
-    # Time-weighted average power: energy per unit work over time per unit work.
-    g_rel = h.reliable.gflops
-    g_unrel = h.n_unreliable * h.unreliable.gflops
-    energy_per_work = alpha * h.reliable.watts / g_rel + (1.0 - alpha) * (
-        h.n_unreliable * h.unreliable.watts
-    ) / g_unrel
-    time_per_work = alpha / g_rel + (1.0 - alpha) / g_unrel
-    return energy_per_work / time_per_work
+    return alpha * h.reliable.watts + (1.0 - alpha) * h.n_unreliable * h.unreliable.watts
 
 
 @dataclass
@@ -216,11 +193,11 @@ def solve_hybrid_for_mode(
 ) -> IsoReport:
     """Solve for the unreliable cluster count that meets a matching target.
 
-    iso_performance and iso_power invert the affine (or harmonic) hybrid
-    model against ``ref``'s GFLOPS or watts; iso_capacity divides the LLC
-    byte counts.  ``template.n_unreliable`` is ignored.  Raises
-    :class:`InfeasibleError` when the reliable share alone already exceeds
-    the target.
+    iso_performance and iso_power invert the affine hybrid model against
+    ``ref``'s GFLOPS or watts, n = (target - alpha * rel) / ((1 - alpha) * unrel);
+    iso_capacity divides the LLC byte counts.  ``template.n_unreliable`` is
+    ignored.  Raises :class:`InfeasibleError` when the reliable share alone
+    already meets the target.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -233,35 +210,22 @@ def solve_hybrid_for_mode(
         if ref_llc_bytes is None or unreliable_llc_bytes is None:
             raise ValueError("iso_capacity requires ref_llc_bytes and unreliable_llc_bytes")
         n = iso_capacity_clusters(ref_llc_bytes, unreliable_llc_bytes)
-    elif template.composition == "arithmetic":
-        if mode == ISO_PERFORMANCE:
-            surplus = ref.gflops - alpha * g_rel
-            if surplus <= 0:
-                raise InfeasibleError(
-                    f"reliable share alone delivers {alpha * g_rel} GFLOPS, "
-                    f"already at or above the {ref.gflops} GFLOPS target"
-                )
-            n = surplus / ((1.0 - alpha) * g_unrel)
-        else:
-            surplus = ref.watts - alpha * p_rel
-            if surplus <= 0:
-                raise InfeasibleError(
-                    f"reliable share alone draws {alpha * p_rel} W, "
-                    f"already at or above the {ref.watts} W budget"
-                )
-            n = surplus / ((1.0 - alpha) * p_unrel)
+    elif mode == ISO_PERFORMANCE:
+        surplus = ref.gflops - alpha * g_rel
+        if surplus <= 0:
+            raise InfeasibleError(
+                f"reliable share alone delivers {alpha * g_rel} GFLOPS, "
+                f"already at or above the {ref.gflops} GFLOPS target"
+            )
+        n = surplus / ((1.0 - alpha) * g_unrel)
     else:
-        if mode == ISO_PERFORMANCE:
-            slack = 1.0 / ref.gflops - alpha / g_rel
-            if slack <= 0:
-                raise InfeasibleError("reliable share alone meets the throughput target")
-            n = (1.0 - alpha) / (g_unrel * slack)
-        else:
-            energy_per_work = alpha * p_rel / g_rel + (1.0 - alpha) * p_unrel / g_unrel
-            slack = energy_per_work / ref.watts - alpha / g_rel
-            if slack <= 0:
-                raise InfeasibleError("reliable share alone exhausts the power budget")
-            n = (1.0 - alpha) / (g_unrel * slack)
+        surplus = ref.watts - alpha * p_rel
+        if surplus <= 0:
+            raise InfeasibleError(
+                f"reliable share alone draws {alpha * p_rel} W, "
+                f"already at or above the {ref.watts} W budget"
+            )
+        n = surplus / ((1.0 - alpha) * p_unrel)
 
     return hybrid_report(mode, template.with_clusters(n), ref)
 

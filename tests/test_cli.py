@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,20 @@ class TestSolveSs:
         assert code == 0
         assert "iteration overhead: 0.0%" in out
 
+    @pytest.mark.parametrize("rate,calls", [("0", 1), ("0.1", 2)])
+    def test_fault_free_run_is_its_own_baseline(self, capsys, monkeypatch, rate, calls):
+        seen = []
+        solve = isocg.cli.sscg_solve
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(isocg.cli, "sscg_solve", counted)
+        doc = run_cli_json(capsys, "solve-ss", "--size", "32", "--fault-rate", rate, "--json")
+        assert len(seen) == calls
+        assert doc["converged"] is True
+
 
 class TestIso:
     def test_perf_xeon_vs_a15(self, capsys):
@@ -179,6 +194,15 @@ class TestIso:
             run(["iso", "--mode", "perf", "--ref", "a15:4:1.6", "--target", "a7:0.5",
                  "--hybrid", "--ss-fraction", "1.5"])
         assert excinfo.value.code == 64
+
+    @pytest.mark.parametrize("fraction", ["0", "0.5"])
+    def test_ss_fraction_without_hybrid_is_usage_error(self, capsys, fraction):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["iso", "--mode", "perf", "--ref", "xeon:8:2.0", "--target", "a15:1.6",
+                 "--ss-fraction", fraction])
+        assert excinfo.value.code == 64
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "isocg: error: --ss-fraction requires --hybrid")
 
     def test_data_dir_override(self, capsys, tmp_path, monkeypatch):
         data = load_sampleset(default_data_dir())
@@ -336,6 +360,18 @@ class TestSubprocessEntryPoints:
         assert result.returncode == 0
         doc = json.loads(result.stdout)
         assert doc["converged"] is True
+
+    def test_closed_stdout_ends_by_sigpipe(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isocg", "ets", "--size", "16", "--degradation", "0:9000:1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"degradation_percent,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert err == b""
 
     def test_repeated_invocations_byte_identical(self):
         cmd = [sys.executable, "-m", "isocg", "ets", "--degradation", "0:30:10", "--json"]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -110,8 +112,6 @@ class TestHybridModel:
             HybridSystem(a15, a7, 0.0)
         with pytest.raises(ValueError):
             HybridSystem(a15, a7, 1.0, ss_fraction=1.0)
-        with pytest.raises(ValueError):
-            HybridSystem(a15, a7, 1.0, composition="geometric")
 
 
 class TestSolveHybrid:
@@ -162,18 +162,6 @@ class TestSolveHybrid:
     def test_unknown_mode(self, template):
         with pytest.raises(ValueError):
             solve_hybrid_for_mode("iso_price", template)
-
-    def test_harmonic_reproduces_iso_performance(self, a15, a7):
-        harmonic = HybridSystem(a15, a7, 1.0, composition="harmonic")
-        report = solve_hybrid_for_mode(ISO_PERFORMANCE, harmonic)
-        assert report.cluster_count == pytest.approx(5.51, rel=0.01)
-        assert report.achieved_gflops == pytest.approx(a15.gflops, rel=1e-12)
-
-    def test_harmonic_power_inversion(self, a15, a7):
-        harmonic = HybridSystem(a15, a7, 1.0, composition="harmonic")
-        report = solve_hybrid_for_mode(ISO_POWER, harmonic)
-        solved = harmonic.with_clusters(report.cluster_count)
-        assert hybrid_watts(solved) == pytest.approx(a15.watts, rel=1e-12)
 
 
 class TestScaleInvariance:
@@ -429,3 +417,17 @@ class TestHybridDigest:
 
     def test_digest_matches_pinned(self, bundled_data):
         assert self._digest(bundled_data) == self.PINNED
+
+
+class TestReadmeLibraryBlock:
+    """README's Library example runs and prints the figures its comments quote."""
+
+    def test_block_runs_and_matches_its_comments(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+        assert "# 5.53 clusters" in block
+        assert "# ~3.39" in block
+        scope = {}
+        exec(compile(block, "README.md", "exec"), scope)
+        assert round(scope["iso"].cluster_count, 2) == 5.53
+        assert round(scope["d"], 2) == 3.39
