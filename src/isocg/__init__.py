@@ -43,7 +43,6 @@ from .iso import (
     ets,
     ets_curve,
     hybrid_gflops,
-    hybrid_report,
     hybrid_watts,
     iso_capacity_clusters,
     iso_performance_clusters,
@@ -51,7 +50,7 @@ from .iso import (
     match,
     solve_hybrid_for_mode,
 )
-from .linalg import dot, gemv, gen_spd_diag_dominant, gen_spd_spectrum
+from .linalg import PreparedMatrix, dot, gemv, gen_spd_diag_dominant, gen_spd_spectrum
 from .machine import (
     DOUBLE_GEMV_INTENSITY,
     MachineSpec,
@@ -86,6 +85,7 @@ __all__ = [
     "InfeasibleError",
     "NoBreakEvenError",
     # linalg
+    "PreparedMatrix",
     "gemv",
     "dot",
     "gen_spd_diag_dominant",
@@ -132,7 +132,6 @@ __all__ = [
     "iso_capacity_clusters",
     "hybrid_gflops",
     "hybrid_watts",
-    "hybrid_report",
     "solve_hybrid_for_mode",
     "match",
     "ets",

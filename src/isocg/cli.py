@@ -45,6 +45,10 @@ _MODE_FLAGS = {
     "capacity": iso_mod.ISO_CAPACITY,
 }
 
+# Columns of iso --csv: mode, then the report's numbers and ratios, empty where absent.
+_ISO_CSV_COLUMNS = ("mode", "cluster_count", "achieved_gflops", "achieved_watts", "perf_vs_ref",
+                    "power_vs_ref", "ref_perf_vs_target", "ref_power_vs_target", "efficiency_vs_ref")
+
 # Types of the fields of a machine address, after the machine name.
 _ADDRESS_FIELDS = {"cores": int, "freq": float}
 
@@ -88,11 +92,11 @@ def _fmt(value: float) -> str:
 
 def _load_system(path: str) -> tuple[PreparedMatrix, np.ndarray]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(EXIT_NOINPUT, f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))  # UnicodeDecodeError is a ValueError
         a = PreparedMatrix(as_square_matrix(doc["A"]))
         b = as_vector(doc["b"]) if "b" in doc else None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -279,8 +283,10 @@ def _print_iso_report(report: iso_mod.IsoReport) -> None:
 
 
 def _emit_iso_csv(report: iso_mod.IsoReport) -> None:
-    print(",".join(iso_mod.ISO_REPORT_COLUMNS))
-    print(",".join(report.csv_row()))
+    row = {**dataclasses.asdict(report), **report.ratios}
+    print(",".join(_ISO_CSV_COLUMNS))
+    print(",".join([report.mode] + ["" if row.get(col) is None else _fmt(row[col])
+                                    for col in _ISO_CSV_COLUMNS[1:]]))
 
 
 def _match_args(args, problem_class: str, *, bare: bool):
@@ -323,7 +329,7 @@ def _cmd_iso(args) -> int:
             parser.error("--mode perf/power requires --ref machine:cores:freq and --target machine:freq")
     report = iso_mod.match(_MODE_FLAGS[args.mode], ref, target, **llc, ss_fraction=alpha)
     if args.json:
-        sys.stdout.write(report.to_json())
+        _emit_json(dataclasses.asdict(report))
     elif args.csv:
         _emit_iso_csv(report)
     else:
@@ -378,8 +384,7 @@ def _cmd_ets(args) -> int:
     hybrid = iso_mod.HybridSystem(ref_sample, tgt_sample, report.cluster_count, alpha)
 
     # Work for the modelled problem: a fault-free solve fixes the iteration count.
-    a = PreparedMatrix(gen_spd_diag_dominant(args.size, args.seed))
-    b = gemv(a, np.ones(args.size))
+    a, b = _build_problem(args)
     _, solve_report = cg_solve(a, b, SolveConfig())
     flops_total = solve_report.flops
 
@@ -481,7 +486,7 @@ def build_parser() -> _Parser:
     ets.add_argument("--size", type=int, default=512, help="modelled problem order (default 512)")
     ets.add_argument("--seed", type=_seed, default=1, help="problem generator seed (default 1)")
     ets.add_argument("--json", action="store_true")
-    ets.set_defaults(func=_cmd_ets)
+    ets.set_defaults(func=_cmd_ets, matrix=None)
 
     return parser
 

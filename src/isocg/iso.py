@@ -21,7 +21,6 @@ and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, NoBreakEvenError
@@ -50,19 +49,6 @@ ISO_PERFORMANCE = "iso_performance"
 ISO_POWER = "iso_power"
 ISO_CAPACITY = "iso_capacity"
 _MODES = (ISO_PERFORMANCE, ISO_POWER, ISO_CAPACITY)
-
-# Stable column order for CSV emission of IsoReport rows.
-ISO_REPORT_COLUMNS = [
-    "mode",
-    "cluster_count",
-    "achieved_gflops",
-    "achieved_watts",
-    "perf_vs_ref",
-    "power_vs_ref",
-    "ref_perf_vs_target",
-    "ref_power_vs_target",
-    "efficiency_vs_ref",
-]
 
 
 def _positive(name: str, value: float) -> float:
@@ -131,56 +117,13 @@ def hybrid_watts(h: HybridSystem) -> float:
 
 @dataclass
 class IsoReport:
-    """Outcome of one matching query, with the ratios the analyses quote."""
+    """Outcome of one matching query, with the ratios the analyses quote; the CLI formats it."""
 
     mode: str
     cluster_count: float
     achieved_gflops: float | None = None
     achieved_watts: float | None = None
     ratios: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cluster_count": self.cluster_count,
-            "achieved_gflops": self.achieved_gflops,
-            "achieved_watts": self.achieved_watts,
-            "ratios": dict(self.ratios),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def csv_row(self) -> list[str]:
-        flat = {
-            "mode": self.mode,
-            "cluster_count": self.cluster_count,
-            "achieved_gflops": self.achieved_gflops,
-            "achieved_watts": self.achieved_watts,
-            **self.ratios,
-        }
-        return [
-            "" if flat.get(col) is None else repr(flat[col]) if isinstance(flat.get(col), float) else str(flat[col])
-            for col in ISO_REPORT_COLUMNS
-        ]
-
-
-def hybrid_report(mode: str, h: HybridSystem, ref: PerfSample | None = None) -> IsoReport:
-    """Evaluate a hybrid and package it with ratios against a reference.
-
-    The reference defaults to the hybrid's own reliable cluster.
-    """
-    ref = ref if ref is not None else h.reliable
-    g = hybrid_gflops(h)
-    p = hybrid_watts(h)
-    ratios = {
-        "perf_vs_ref": g / ref.gflops,
-        "power_vs_ref": p / ref.watts,
-        "ref_perf_vs_target": ref.gflops / g,
-        "ref_power_vs_target": ref.watts / p,
-        "efficiency_vs_ref": (g / p) / (ref.gflops / ref.watts),
-    }
-    return IsoReport(mode, h.n_unreliable, g, p, ratios)
 
 
 def solve_hybrid_for_mode(
@@ -227,7 +170,17 @@ def solve_hybrid_for_mode(
             )
         n = surplus / ((1.0 - alpha) * p_unrel)
 
-    return hybrid_report(mode, template.with_clusters(n), ref)
+    h = template.with_clusters(n)
+    g = hybrid_gflops(h)
+    p = hybrid_watts(h)
+    ratios = {
+        "perf_vs_ref": g / ref.gflops,
+        "power_vs_ref": p / ref.watts,
+        "ref_perf_vs_target": ref.gflops / g,
+        "ref_power_vs_target": ref.watts / p,
+        "efficiency_vs_ref": (g / p) / (ref.gflops / ref.watts),
+    }
+    return IsoReport(mode, n, g, p, ratios)
 
 
 def match(

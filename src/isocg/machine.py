@@ -74,6 +74,8 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if self.cores_per_unit < 1:
             raise ValueError(f"{self.name}: cores_per_unit must be >= 1")
+        if not all(map(math.isfinite, (self.freq_min_ghz, self.freq_max_ghz, self.stream_bandwidth_gbs))):
+            raise ValueError(f"{self.name}: frequencies and stream_bandwidth_gbs must be finite")
         if self.freq_min_ghz <= 0 or self.freq_max_ghz <= 0:
             raise ValueError(f"{self.name}: frequencies must be positive")
         if self.freq_min_ghz > self.freq_max_ghz:
@@ -103,6 +105,8 @@ class PerfSample:
             )
         if self.provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
+        if not all(map(math.isfinite, (self.freq_ghz, self.gflops, self.watts))):
+            raise ValueError(f"{self.key()}: freq_ghz, gflops and watts must be finite")
         if self.gflops <= 0 or self.watts <= 0:
             raise ValueError(f"{self.key()}: gflops and watts must be positive")
         if self.active_cores < 1:
@@ -258,7 +262,7 @@ def _parse_machines(path: Path) -> list[MachineSpec]:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise SampleSetError(f"{path}: {exc}") from exc
     specs = []
     for name in parser.sections():
@@ -280,39 +284,38 @@ def _parse_machines(path: Path) -> list[MachineSpec]:
 
 
 def _parse_samples(path: Path, sset: SampleSet) -> None:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SampleSetError(f"{path}:1: empty samples file") from None
-        if header != SAMPLES_HEADER:
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise SampleSetError(f"{path}: {exc}") from exc
+    if not rows:
+        raise SampleSetError(f"{path}:1: empty samples file")
+    if rows[0] != SAMPLES_HEADER:
+        raise SampleSetError(f"{path}:1: bad header {rows[0]!r}, expected {SAMPLES_HEADER!r}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(SAMPLES_HEADER):
             raise SampleSetError(
-                f"{path}:1: bad header {header!r}, expected {SAMPLES_HEADER!r}"
+                f"{path}:{lineno}: expected {len(SAMPLES_HEADER)} fields, got {len(row)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SAMPLES_HEADER):
-                raise SampleSetError(
-                    f"{path}:{lineno}: expected {len(SAMPLES_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                sample = PerfSample(
-                    machine=row[0],
-                    active_cores=int(row[1]),
-                    freq_ghz=float(row[2]),
-                    problem_class=row[3],
-                    gflops=float(row[4]),
-                    watts=float(row[5]),
-                    provenance=row[6],
-                )
-            except ValueError as exc:
-                raise SampleSetError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                sset.add_sample(sample)
-            except SampleSetError as exc:
-                raise SampleSetError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            sample = PerfSample(
+                machine=row[0],
+                active_cores=int(row[1]),
+                freq_ghz=float(row[2]),
+                problem_class=row[3],
+                gflops=float(row[4]),
+                watts=float(row[5]),
+                provenance=row[6],
+            )
+        except ValueError as exc:
+            raise SampleSetError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            sset.add_sample(sample)
+        except SampleSetError as exc:
+            raise SampleSetError(f"{path}:{lineno}: {exc}") from exc
 
 
 def load_sampleset(path) -> SampleSet:

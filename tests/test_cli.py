@@ -13,11 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isocg
 import isocg.cli
 import oracles
-from isocg import default_data_dir, load_sampleset, save_sampleset
+from isocg import (ISO_PERFORMANCE, ISO_POWER, HybridSystem, default_data_dir, load_sampleset,
+                   save_sampleset, solve_hybrid_for_mode)
 from isocg.cli import run
-from isocg.iso import ISO_REPORT_COLUMNS
+
+# The iso --csv header, as README "File formats" gives it.
+ISO_CSV_HEADER = ("mode,cluster_count,achieved_gflops,achieved_watts,perf_vs_ref,power_vs_ref,"
+                  "ref_perf_vs_target,ref_power_vs_target,efficiency_vs_ref")
 
 
 def run_cli(capsys, *argv):
@@ -186,8 +191,35 @@ class TestIso:
                                "--target", "a15:1.6", "--csv")
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == ",".join(ISO_REPORT_COLUMNS)
+        assert lines[0] == ISO_CSV_HEADER
         assert len(lines) == 2
+
+    def test_hybrid_json_keys(self, capsys, bundled_data):
+        doc = run_cli_json(capsys, "iso", "--mode", "perf", "--ref", "a15:4:1.6",
+                           "--target", "a7:0.5", "--hybrid", "--json")
+        template = HybridSystem(bundled_data.sample("a15", 4, 1.6),
+                                bundled_data.sample("a7", 4, 0.5), 1.0)
+        assert set(doc) == {"mode", "cluster_count", "achieved_gflops", "achieved_watts", "ratios"}
+        assert doc["mode"] == ISO_PERFORMANCE
+        assert doc["cluster_count"] == solve_hybrid_for_mode(ISO_PERFORMANCE, template).cluster_count
+        assert set(doc["ratios"]) == {
+            "perf_vs_ref",
+            "power_vs_ref",
+            "ref_perf_vs_target",
+            "ref_power_vs_target",
+            "efficiency_vs_ref",
+        }
+
+    def test_hybrid_csv_row_matches_columns(self, capsys, bundled_data):
+        code, out, _ = run_cli(capsys, "iso", "--mode", "power", "--ref", "a15:4:1.6",
+                               "--target", "a7:0.5", "--hybrid", "--csv")
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        template = HybridSystem(bundled_data.sample("a15", 4, 1.6),
+                                bundled_data.sample("a7", 4, 0.5), 1.0)
+        assert len(row) == len(header)
+        assert row[0] == ISO_POWER
+        assert float(row[1]) == solve_hybrid_for_mode(ISO_POWER, template).cluster_count
 
     def test_bad_ss_fraction_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -351,6 +383,18 @@ class TestCliBoundary:
         assert private == []
 
 
+class TestPackageExports:
+    def test_all_is_the_union_of_the_module_lists(self):
+        errors = [name for name, value in vars(isocg.errors).items()
+                  if isinstance(value, type) and issubclass(value, Exception)
+                  and value.__module__ == isocg.errors.__name__]
+        modules = (isocg.linalg, isocg.faults, isocg.solvers, isocg.machine, isocg.iso)
+        expected = {"__version__", *errors, *(name for m in modules for name in m.__all__)}
+        assert len(isocg.__all__) == len(set(isocg.__all__))
+        assert set(isocg.__all__) == expected
+        assert [name for name in isocg.__all__ if not hasattr(isocg, name)] == []
+
+
 class TestSubprocessEntryPoints:
     def test_python_m_isocg(self):
         result = subprocess.run(
@@ -469,6 +513,66 @@ class TestNonSymmetricSystemFile:
         code, out, err = run_cli(capsys, "solve", "--matrix", str(path))
         assert code == 0, err
         assert "converged: yes" in out
+
+
+_ISO_PERF = ["iso", "--mode", "perf", "--ref", "a15:4:1.6", "--target", "a7:0.5"]
+
+
+class TestNonUtf8Input:
+    """A --matrix file or data-set file that is not UTF-8 is bad data (65), named on one line."""
+
+    @pytest.mark.parametrize("name", ["system.json", "samples.csv", "machines.ini"])
+    def test_exit_65_without_traceback(self, tmp_path, name):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        path = tmp_path / name
+        if name == "system.json":
+            path.write_bytes(b'\xff{"A": [[2]]}')
+            argv = ["solve", "--matrix", str(path)]
+        else:
+            path.write_bytes(path.read_bytes().replace(b"a15", b"a\xff15", 1))
+            argv = [*_ISO_PERF, "--data", str(tmp_path)]
+        result = subprocess.run([sys.executable, "-m", "isocg", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 65, result.stderr
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("isocg: ")
+        assert str(path) in result.stderr
+        assert "can't decode byte 0xff" in result.stderr
+        assert result.stdout == ""
+
+
+class TestNonFiniteDataSet:
+    """A data set holding a NaN or infinite number is bad data (65), named by its line."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [_ISO_PERF + ["--json"], _ISO_PERF + ["--csv"], ["ets", "--size", "16"]],
+        ids=["iso-json", "iso-csv", "ets"],
+    )
+    def test_sample_exits_65(self, capsys, tmp_path, value, argv):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        samples = tmp_path / "samples.csv"
+        text = samples.read_text()
+        assert "\na7,4,0.5,on_chip,0.38," in text
+        samples.write_text(text.replace("\na7,4,0.5,on_chip,0.38,", f"\na7,4,0.5,on_chip,{value},"))
+        code, out, err = run_cli(capsys, *argv, "--data", str(tmp_path))
+        assert code == 65
+        assert out == ""
+        assert err == f"isocg: {samples}:5: ('a7', 4, 0.5, 'on_chip'): " \
+                      "freq_ghz, gflops and watts must be finite\n"
+
+    def test_machine_exits_65(self, capsys, tmp_path):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        machines = tmp_path / "machines.ini"
+        machines.write_text(machines.read_text().replace("stream_bandwidth_gbs = 5.4",
+                                                         "stream_bandwidth_gbs = nan"))
+        code, out, err = run_cli(capsys, *_ISO_PERF, "--data", str(tmp_path))
+        assert code == 65
+        assert out == ""
+        assert err.startswith(f"isocg: {machines}: machine 'a15': ")
+        assert err.endswith("must be finite\n")
 
 
 class TestSizeBudget:

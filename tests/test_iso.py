@@ -1,5 +1,4 @@
 import hashlib
-import json
 import re
 from pathlib import Path
 
@@ -17,7 +16,6 @@ from isocg import (
     ets,
     ets_curve,
     hybrid_gflops,
-    hybrid_report,
     hybrid_watts,
     iso_capacity_clusters,
     iso_performance_clusters,
@@ -25,7 +23,6 @@ from isocg import (
     match,
     solve_hybrid_for_mode,
 )
-from isocg.iso import ISO_REPORT_COLUMNS
 
 MIB = 1 << 20
 
@@ -132,6 +129,10 @@ class TestSolveHybrid:
         assert report.cluster_count == 4.0
         assert report.ratios["ref_perf_vs_target"] == pytest.approx(1.33, abs=0.02)
         assert report.ratios["ref_power_vs_target"] == pytest.approx(5.22, rel=0.02)
+        # without a ref, the ratios are against the template's reliable cluster
+        assert report.ratios["ref_perf_vs_target"] == pytest.approx(
+            template.reliable.gflops / hybrid_gflops(template.with_clusters(4.0)), rel=1e-12
+        )
 
     def test_inversion_is_exact(self, template, a15):
         perf = solve_hybrid_for_mode(ISO_PERFORMANCE, template)
@@ -278,34 +279,6 @@ class TestBreakEven:
         d = breakeven_degradation(a15, hybrid)
         ((ref_pt, hyb_pt),) = ets_curve(a15, hybrid, [d], 3.0e9)
         assert hyb_pt.ets_joules == pytest.approx(ref_pt.ets_joules, rel=1e-12)
-
-
-class TestIsoReport:
-    def test_json_round_trip(self, template):
-        report = solve_hybrid_for_mode(ISO_PERFORMANCE, template)
-        doc = json.loads(report.to_json())
-        assert doc["mode"] == ISO_PERFORMANCE
-        assert doc["cluster_count"] == report.cluster_count
-        assert set(doc["ratios"]) == {
-            "perf_vs_ref",
-            "power_vs_ref",
-            "ref_perf_vs_target",
-            "ref_power_vs_target",
-            "efficiency_vs_ref",
-        }
-
-    def test_csv_row_matches_columns(self, template):
-        report = solve_hybrid_for_mode(ISO_POWER, template)
-        row = report.csv_row()
-        assert len(row) == len(ISO_REPORT_COLUMNS)
-        assert row[0] == ISO_POWER
-        assert float(row[1]) == report.cluster_count
-
-    def test_hybrid_report_defaults_to_reliable_reference(self, template):
-        report = hybrid_report(ISO_CAPACITY, template.with_clusters(4.0))
-        assert report.ratios["ref_perf_vs_target"] == pytest.approx(
-            template.reliable.gflops / hybrid_gflops(template.with_clusters(4.0)), rel=1e-12
-        )
 
 
 # (machine, cores, freq) of the references and targets the matching tests pair up.

@@ -184,6 +184,15 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             PerfSample("m", 4, 1.0, "on_chip", 1.0, 1.0, "guessed")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, value):
+        for bad in ((value, 2.0, 10.0), (1.0, value, 10.0), (1.0, 2.0, value)):
+            with pytest.raises(ValueError, match="must be finite"):
+                MachineSpec("m", 4, bad[0], bad[1], MIB, bad[2])
+        for bad in ((value, 1.0, 1.0), (1.0, value, 1.0), (1.0, 1.0, value)):
+            with pytest.raises(ValueError, match="must be finite"):
+                PerfSample("m", 4, bad[0], "on_chip", bad[1], bad[2])
+
 
 class TestLoadSave:
     def test_round_trip_identity(self, bundled_data, tmp_path):
