@@ -129,10 +129,6 @@ class TestSolveHybrid:
         assert report.cluster_count == 4.0
         assert report.ratios["ref_perf_vs_target"] == pytest.approx(1.33, abs=0.02)
         assert report.ratios["ref_power_vs_target"] == pytest.approx(5.22, rel=0.02)
-        # without a ref, the ratios are against the template's reliable cluster
-        assert report.ratios["ref_perf_vs_target"] == pytest.approx(
-            template.reliable.gflops / hybrid_gflops(template.with_clusters(4.0)), rel=1e-12
-        )
 
     def test_inversion_is_exact(self, template, a15):
         perf = solve_hybrid_for_mode(ISO_PERFORMANCE, template)
@@ -280,6 +276,17 @@ class TestBreakEven:
         ((ref_pt, hyb_pt),) = ets_curve(a15, hybrid, [d], 3.0e9)
         assert hyb_pt.ets_joules == pytest.approx(ref_pt.ets_joules, rel=1e-12)
 
+
+class TestIsoReport:
+    def test_hybrid_report_defaults_to_reliable_reference(self, template):
+        # without a ref, the ratios are against the template's reliable cluster
+        report = solve_hybrid_for_mode(
+            ISO_CAPACITY, template, ref_llc_bytes=2 * MIB, unreliable_llc_bytes=MIB // 2
+        )
+        assert report.cluster_count == 4.0
+        assert report.ratios["ref_perf_vs_target"] == pytest.approx(
+            template.reliable.gflops / hybrid_gflops(template.with_clusters(4.0)), rel=1e-12
+        )
 
 # (machine, cores, freq) of the references and targets the matching tests pair up.
 REFS = [("xeon", 8, 2.0), ("a15", 4, 1.6)]
