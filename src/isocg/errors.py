@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "IsocgError",
+    "DimensionMismatchError",
+    "InvalidSpectrumError",
+    "SolverDivergedError",
+    "InsufficientDataError",
+    "SampleSetError",
+    "UnknownMachineError",
+    "InfeasibleError",
+    "NoBreakEvenError",
+]
+
 
 class IsocgError(Exception):
     """Base class for all package-specific errors."""

@@ -7,23 +7,22 @@ throughout: the memory-bound roofline bound, an ordinary-least-squares
 decomposition of power into static and per-core parts, frequency-scaling
 factors, and on-chip problem sizing against the LLC.
 
-On-disk format: a directory holding ``machines.ini`` (one section per
-machine, fields as in :class:`MachineSpec`) and ``samples.csv`` with header
-``machine,active_cores,freq_ghz,problem_class,gflops,watts,provenance``.
+On-disk format: a directory holding ``machines.ini`` and ``samples.csv``.
+The dataclass fields are the schema: each ``machines.ini`` section is one
+machine, named by the section, with the other :class:`MachineSpec` fields
+as keys, and the ``samples.csv`` header is the :class:`PerfSample` fields.
 Bandwidth is in GB/s (10**9 bytes per second); LLC sizes are exact byte
 counts (binary mebibytes in the bundled data, since an n x n double matrix
 fills the cache when 8 n^2 equals the byte count).
 """
 
-from __future__ import annotations
-
 import configparser
 import csv
-import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +54,6 @@ PROVENANCES = ("paper", "derived", "user")
 
 MACHINES_FILENAME = "machines.ini"
 SAMPLES_FILENAME = "samples.csv"
-SAMPLES_HEADER = ["machine", "active_cores", "freq_ghz", "problem_class", "gflops", "watts", "provenance"]
 
 DATA_DIR_ENV = "ISOCG_DATA_DIR"
 
@@ -73,17 +71,17 @@ class MachineSpec:
 
     def __post_init__(self) -> None:
         if self.cores_per_unit < 1:
-            raise ValueError(f"{self.name}: cores_per_unit must be >= 1")
+            raise ValueError("cores_per_unit must be >= 1")
         if not all(map(math.isfinite, (self.freq_min_ghz, self.freq_max_ghz, self.stream_bandwidth_gbs))):
-            raise ValueError(f"{self.name}: frequencies and stream_bandwidth_gbs must be finite")
+            raise ValueError("frequencies and stream_bandwidth_gbs must be finite")
         if self.freq_min_ghz <= 0 or self.freq_max_ghz <= 0:
-            raise ValueError(f"{self.name}: frequencies must be positive")
+            raise ValueError("frequencies must be positive")
         if self.freq_min_ghz > self.freq_max_ghz:
-            raise ValueError(f"{self.name}: freq_min_ghz exceeds freq_max_ghz")
+            raise ValueError("freq_min_ghz exceeds freq_max_ghz")
         if self.llc_bytes <= 0:
-            raise ValueError(f"{self.name}: llc_bytes must be positive")
+            raise ValueError("llc_bytes must be positive")
         if self.stream_bandwidth_gbs <= 0:
-            raise ValueError(f"{self.name}: stream_bandwidth_gbs must be positive")
+            raise ValueError("stream_bandwidth_gbs must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,9 @@ class PerfSample:
 
     def key(self) -> tuple[str, int, float, str]:
         return (self.machine, self.active_cores, self.freq_ghz, self.problem_class)
+
+
+SAMPLES_HEADER = [f.name for f in fields(PerfSample)]
 
 
 class SampleSet:
@@ -182,14 +183,10 @@ def roofline_gflops(spec: MachineSpec, arithmetic_intensity: float = DOUBLE_GEMV
     return spec.stream_bandwidth_gbs * arithmetic_intensity
 
 
-@dataclass(frozen=True)
-class StaticPowerFit:
+class StaticPowerFit(NamedTuple):
     intercept_watts: float   # static power: draw extrapolated to zero active cores
     watts_per_core: float
     r_squared: float
-
-    def __iter__(self):
-        return iter((self.intercept_watts, self.watts_per_core, self.r_squared))
 
 
 def static_power_fit(samples) -> StaticPowerFit:
@@ -216,14 +213,10 @@ def static_power_fit(samples) -> StaticPowerFit:
     return StaticPowerFit(float(intercept), float(slope), r_squared)
 
 
-@dataclass(frozen=True)
-class ScalingFactors:
+class ScalingFactors(NamedTuple):
     perf_factor: float
     power_factor: float
     freq_factor: float
-
-    def __iter__(self):
-        return iter((self.perf_factor, self.power_factor, self.freq_factor))
 
 
 def scaling_factors(low: PerfSample, high: PerfSample) -> ScalingFactors:
@@ -254,40 +247,53 @@ def max_onchip_n(llc_bytes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# File ingestion
+# Files: each dataclass field is read and written as its declared type, which
+# is a class because this module does not postpone annotations.
 
 
-def _parse_machines(path: Path) -> list[MachineSpec]:
-    parser = configparser.ConfigParser()
+def _record(cls, texts: dict[str, str]):
+    """Build the dataclass ``cls`` from ``{field: text}``; every field is required."""
+    values = {}
+    for f in fields(cls):
+        if f.name not in texts:
+            raise ValueError(f"missing {f.name}")
+        try:
+            values[f.name] = f.type(texts[f.name])
+        except ValueError:
+            raise ValueError(f"bad {f.name} {texts[f.name]!r}") from None
+    return cls(**values)
+
+
+def _texts(record) -> dict[str, str]:
+    texts = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        # repr round-trips floats exactly, which keeps save/load an identity.
+        texts[f.name] = repr(float(value)) if f.type is float else str(value)
+    return texts
+
+
+def _parse_machines(path: Path, sset: SampleSet) -> None:
+    # Values are read literally: no "%" interpolation.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise SampleSetError(f"{path}: {exc}") from exc
-    specs = []
     for name in parser.sections():
-        section = parser[name]
         try:
-            specs.append(
-                MachineSpec(
-                    name=name,
-                    cores_per_unit=section.getint("cores_per_unit"),
-                    freq_min_ghz=section.getfloat("freq_min_ghz"),
-                    freq_max_ghz=section.getfloat("freq_max_ghz"),
-                    llc_bytes=section.getint("llc_bytes"),
-                    stream_bandwidth_gbs=section.getfloat("stream_bandwidth_gbs"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            # The section names the machine; a "name" key cannot override it.
+            sset.add_spec(_record(MachineSpec, {**parser[name], "name": name}))
+        except ValueError as exc:
             raise SampleSetError(f"{path}: machine {name!r}: {exc}") from exc
-    return specs
 
 
 def _parse_samples(path: Path, sset: SampleSet) -> None:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-    except UnicodeDecodeError as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise SampleSetError(f"{path}: {exc}") from exc
     if not rows:
         raise SampleSetError(f"{path}:1: empty samples file")
@@ -301,20 +307,8 @@ def _parse_samples(path: Path, sset: SampleSet) -> None:
                 f"{path}:{lineno}: expected {len(SAMPLES_HEADER)} fields, got {len(row)}"
             )
         try:
-            sample = PerfSample(
-                machine=row[0],
-                active_cores=int(row[1]),
-                freq_ghz=float(row[2]),
-                problem_class=row[3],
-                gflops=float(row[4]),
-                watts=float(row[5]),
-                provenance=row[6],
-            )
-        except ValueError as exc:
-            raise SampleSetError(f"{path}:{lineno}: {exc}") from exc
-        try:
-            sset.add_sample(sample)
-        except SampleSetError as exc:
+            sset.add_sample(_record(PerfSample, dict(zip(SAMPLES_HEADER, row))))
+        except ValueError as exc:  # SampleSetError included
             raise SampleSetError(f"{path}:{lineno}: {exc}") from exc
 
 
@@ -324,25 +318,13 @@ def load_sampleset(path) -> SampleSet:
     Given a directory, ``machines.ini`` and ``samples.csv`` inside it are
     read; given a CSV path, the machine file is looked up next to it.
     """
-    p = Path(path)
-    if p.is_dir():
-        machines_path = p / MACHINES_FILENAME
-        samples_path = p / SAMPLES_FILENAME
-    else:
-        samples_path = p
-        machines_path = p.parent / MACHINES_FILENAME
+    samples_path = Path(path)
+    if samples_path.is_dir():
+        samples_path /= SAMPLES_FILENAME
     sset = SampleSet()
-    for spec in _parse_machines(machines_path):
-        sset.add_spec(spec)
+    _parse_machines(samples_path.parent / MACHINES_FILENAME, sset)
     _parse_samples(samples_path, sset)
     return sset
-
-
-def _format_number(value) -> str:
-    # repr round-trips floats exactly, which keeps save/load an identity.
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
 
 
 def save_sampleset(sset: SampleSet, directory) -> None:
@@ -353,37 +335,15 @@ def save_sampleset(sset: SampleSet, directory) -> None:
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for name in sorted(sset.specs):
-        spec = sset.specs[name]
-        parser[name] = {
-            "cores_per_unit": _format_number(spec.cores_per_unit),
-            "freq_min_ghz": _format_number(spec.freq_min_ghz),
-            "freq_max_ghz": _format_number(spec.freq_max_ghz),
-            "llc_bytes": _format_number(spec.llc_bytes),
-            "stream_bandwidth_gbs": _format_number(spec.stream_bandwidth_gbs),
-        }
-    buffer = io.StringIO()
-    parser.write(buffer)
-    (out / MACHINES_FILENAME).write_text(buffer.getvalue(), encoding="utf-8")
-
-    rows = [",".join(SAMPLES_HEADER)]
-    for s in sset.samples:
-        rows.append(
-            ",".join(
-                [
-                    s.machine,
-                    _format_number(s.active_cores),
-                    _format_number(s.freq_ghz),
-                    s.problem_class,
-                    _format_number(s.gflops),
-                    _format_number(s.watts),
-                    s.provenance,
-                ]
-            )
-        )
-    (out / SAMPLES_FILENAME).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        parser[name] = {k: v for k, v in _texts(sset.specs[name]).items() if k != "name"}
+    with open(out / MACHINES_FILENAME, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    with open(out / SAMPLES_FILENAME, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, SAMPLES_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(map(_texts, sset.samples))
 
 
 def default_data_dir() -> Path:

@@ -575,6 +575,37 @@ class TestNonFiniteDataSet:
         assert err.endswith("must be finite\n")
 
 
+class TestDataSetFieldErrors:
+    """A data-set field that is missing, unreadable or over-long is bad data (65), on one line."""
+
+    @pytest.mark.parametrize(
+        ("name", "old", "new", "message"),
+        [
+            ("samples.csv", "\na7,4,0.5,", '\n"' + "a" * 131_073 + '",4,0.5,',
+             "field larger than field limit (131072)"),
+            ("machines.ini", "llc_bytes = 2097152\n", "llc_bytes = 100%\n",
+             "machine 'a15': bad llc_bytes '100%'"),
+            ("machines.ini", "llc_bytes = 2097152\n", "", "machine 'a15': missing llc_bytes"),
+            ("machines.ini", "stream_bandwidth_gbs = 5.4", "stream_bandwidth_gbs = nan",
+             "machine 'a15': frequencies and stream_bandwidth_gbs must be finite"),
+        ],
+        ids=["long-csv-field", "percent-value", "missing-key", "non-finite-value"],
+    )
+    def test_exit_65_without_traceback(self, tmp_path, name, old, new, message):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        path = tmp_path / name
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        result = subprocess.run([sys.executable, "-m", "isocg", *_ISO_PERF, "--data", str(tmp_path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 65, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr == f"isocg: {path}: {message}\n"
+        assert result.stderr.replace(str(path), "").count("a15") <= 1  # the machine, named once
+        assert result.stdout == ""
+
+
 class TestSizeBudget:
     """A --size whose A alone exceeds physical memory is a usage error, found before any allocation."""
 

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import isocg.machine
 import oracles
 from isocg import (
     InsufficientDataError,
@@ -9,6 +12,7 @@ from isocg import (
     SampleSet,
     SampleSetError,
     UnknownMachineError,
+    bundled_sampleset,
     gflops_per_watt,
     load_sampleset,
     max_onchip_n,
@@ -207,6 +211,21 @@ class TestLoadSave:
         for name in ("machines.ini", "samples.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_bundled_files_re_save_byte_for_byte(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("ISOCG_DATA_DIR", raising=False)
+        save_sampleset(bundled_sampleset(), tmp_path)
+        shipped = Path(isocg.machine.__file__).parent / "data"
+        for name in ("machines.ini", "samples.csv"):
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes()
+
+    def test_names_with_comma_and_quote_round_trip(self, tmp_path):
+        sset = SampleSet()
+        for name in ("big,little", 'say "hi", ok'):
+            sset.add_spec(spec(name))
+            sset.add_sample(sample(machine=name))
+        save_sampleset(sset, tmp_path)
+        assert load_sampleset(tmp_path) == sset
+
     def test_load_from_csv_path(self, bundled_data, tmp_path):
         save_sampleset(bundled_data, tmp_path)
         assert load_sampleset(tmp_path / "samples.csv") == bundled_data
@@ -254,6 +273,12 @@ class TestLoadSave:
         with pytest.raises(SampleSetError) as excinfo:
             load_sampleset(tmp_path)
         assert "box" in str(excinfo.value)
+
+    def test_section_names_the_machine_over_a_name_key(self, tmp_path):
+        self._write(tmp_path, self.HEADER)
+        machines = tmp_path / "machines.ini"
+        machines.write_text(machines.read_text() + "name = other\n")
+        assert sorted(load_sampleset(tmp_path).specs) == ["box"]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
