@@ -1,9 +1,6 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import isocg.machine
 import oracles
 from isocg import (
     InsufficientDataError,
@@ -13,6 +10,7 @@ from isocg import (
     SampleSetError,
     UnknownMachineError,
     bundled_sampleset,
+    default_data_dir,
     gflops_per_watt,
     load_sampleset,
     max_onchip_n,
@@ -214,9 +212,8 @@ class TestLoadSave:
     def test_bundled_files_re_save_byte_for_byte(self, monkeypatch, tmp_path):
         monkeypatch.delenv("ISOCG_DATA_DIR", raising=False)
         save_sampleset(bundled_sampleset(), tmp_path)
-        shipped = Path(isocg.machine.__file__).parent / "data"
         for name in ("machines.ini", "samples.csv"):
-            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == (default_data_dir() / name).read_bytes()
 
     def test_names_with_comma_and_quote_round_trip(self, tmp_path):
         sset = SampleSet()
