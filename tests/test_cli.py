@@ -345,6 +345,82 @@ class TestModelOutputDigest:
         assert self._digest() == self.PINNED
 
 
+class TestSolveOutputDigest:
+    """Exit codes, stdout and stderr of solve and solve-ss, generated and from --matrix
+    files good and bad, byte for byte."""
+
+    # sha256 of ``_digest()``, recorded before solve and solve-ss shared one command path.
+    PINNED = "1a15243d08c3472e7f59062475cfd078766b80d917a177d842208d0bb8d6d14e"
+
+    # --matrix fixtures, written into the working directory with "non-utf8.json";
+    # "missing.json" is never written.
+    SYSTEMS = {
+        "good.json": '{"A": [[4, 1], [1, 3]], "b": [1, 2]}',
+        "no-b.json": '{"A": [[4, 1, 0], [1, 3, 1], [0, 1, 5]]}',
+        "zero-b.json": '{"A": [[2, 0], [0, 2]], "b": [0, 0]}',
+        "big.json": json.dumps({"A": (np.eye(12) * 4 + np.ones((12, 12))).tolist()}),
+        "zero-a.json": '{"A": [[0, 0], [0, 0]], "b": [1, 1]}',
+        "rounding.json": json.dumps({"A": [[4.0, 1.0], [1.0 + 2.0**-50, 3.0]], "b": [1, 2]}),
+        "not-json.json": "{not json",
+        "nan-b.json": '{"A": [[2, 1], [1, 2]], "b": [1, NaN]}',
+        "inf-a.json": '{"A": [[1, Infinity], [Infinity, 1]]}',
+        "asymmetric.json": '{"A": [[4, 1], [0, 3]]}',
+        "wrong-b.json": '{"A": [[4, 1], [1, 3]], "b": [1, 2, 3]}',
+        "non-square.json": '{"A": [[1, 2, 3], [4, 5, 6]]}',
+        "ragged.json": '{"A": [[1, 2], [3]]}',
+        "vector-a.json": '{"A": [1, 2]}',
+        "empty-a.json": '{"A": []}',
+        "text-a.json": '{"A": [["a", "b"], ["c", "d"]]}',
+        "matrix-b.json": '{"A": [[2, 1], [1, 2]], "b": [[1], [2]]}',
+        "no-a.json": '{"b": [1, 2]}',
+        "list.json": "[[1, 2], [2, 1]]",
+    }
+
+    @staticmethod
+    def _argvs():
+        for command in ("solve", "solve-ss"):
+            for fmt in ([], ["--json"]):
+                for size in ("1", "2", "8", "9", "33"):
+                    for seed in ("0", "5"):
+                        yield [command, "--size", size, "--seed", seed, *fmt]
+                yield [command, "--size", "32", "--max-iter", "1", "--tol", "1e-30", *fmt]
+                yield [command, "--size", "0", *fmt]
+                yield [command, *fmt]
+                for name in [*TestSolveOutputDigest.SYSTEMS, "non-utf8.json", "missing.json", "."]:
+                    for size in ([], ["--size", "2"]):
+                        yield [command, "--matrix", name, *size, *fmt]
+        for fmt in ([], ["--json"]):
+            for rate in ("0", "0.1", "0.5", "1"):
+                for bits in ("sign-mantissa", "exponent", "any"):
+                    for extra in ([], ["--flips", "2", "--fault-seed", "4"], ["--ss-period", "3"]):
+                        yield ["solve-ss", "--size", "24", "--fault-rate", rate,
+                               "--fault-bits", bits, *extra, *fmt]
+            yield ["solve-ss", "--matrix", "big.json", "--fault-rate", "0.2", *fmt]
+            yield ["solve-ss", "--size", "8", "--fault-rate", "nan", *fmt]
+            yield ["solve-ss", "--size", "32", "--fault-rate", "1", "--fault-bits", "exponent",
+                   "--flips", "3", "--ss-period", "50", *fmt]
+
+    @staticmethod
+    def _digest():
+        h = hashlib.sha256()
+        for argv in TestSolveOutputDigest._argvs():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+        return h.hexdigest()
+
+    def test_digest_matches_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.SYSTEMS.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "non-utf8.json").write_bytes(b'\xff{"A": [[2]]}')
+        assert self._digest() == self.PINNED
+
+
 class TestMachineAddress:
     """A ref is machine or machine:cores:freq and a target machine or machine:freq;
     any other form is a usage error."""
