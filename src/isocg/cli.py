@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import iso as iso_mod
-from .errors import IsocgError, NoBreakEvenError, SolverDivergedError, UnknownMachineError
+from .errors import IsocgError, SolverDivergedError, UnknownMachineError
 from .faults import BIT_DOMAINS, FaultPolicy
-from .linalg import PreparedMatrix, as_square_matrix, as_vector, gemv, gen_spd_diag_dominant
+from .linalg import PreparedMatrix, gemv, gen_spd_diag_dominant
 from .machine import PROBLEM_CLASSES, default_data_dir, load_sampleset
-from .solvers import SolveConfig, cg_solve, sscg_solve
+from .solvers import SolveConfig, cg_solve, load_system, sscg_solve
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -51,10 +51,6 @@ _ISO_CSV_COLUMNS = ("mode", "cluster_count", "achieved_gflops", "achieved_watts"
 
 # Types of the fields of a machine address, after the machine name.
 _ADDRESS_FIELDS = {"cores": int, "freq": float}
-
-# Largest relative asymmetry max|A - Aᵀ| / max|A| of a --matrix file.
-# gen_spd_spectrum leaves 6e-17 to 1.3e-16 at n = 8..2048.
-_SYMMETRY_TOL = 1e-10
 
 # Most points an ets --degradation range may hold; the default has 41.
 _MAX_DEGRADATION_POINTS = 10_000
@@ -90,40 +86,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _load_system(path: str) -> tuple[PreparedMatrix, np.ndarray]:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise _CliError(EXIT_NOINPUT, f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(data.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-        a = PreparedMatrix(as_square_matrix(doc["A"]))
-        b = as_vector(doc["b"]) if "b" in doc else None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise _CliError(EXIT_DATAERR, f"bad system file {path}: {exc}") from exc
-    # JSON admits Infinity and NaN, which would only surface later as a diverged solve.
-    if not np.isfinite(a.cols).all() or (b is not None and not np.isfinite(b).all()):
-        raise _CliError(EXIT_DATAERR, f"bad system file {path}: non-finite entries")
-    asymmetry = np.abs(a.cols - a.cols.T).max()
-    if asymmetry > _SYMMETRY_TOL * np.abs(a.cols).max():
-        raise _CliError(
-            EXIT_DATAERR,
-            f"bad system file {path}: A is not symmetric "
-            f"(max|A - A^T| = {asymmetry:.3g} exceeds {_SYMMETRY_TOL:g} * max|A|)",
-        )
-    if b is None:
-        b = gemv(a, np.ones(a.shape[0]))
-    if b.size != a.shape[0]:
-        raise _CliError(
-            EXIT_DATAERR, f"bad system file {path}: A is {a.shape[0]}x{a.shape[1]} but b has length {b.size}"
-        )
-    return a, b
-
-
 def _build_problem(args) -> tuple[PreparedMatrix, np.ndarray]:
     """The system to solve, with A prepared once for the right-hand side and every solve."""
     if args.matrix is not None:
-        a, b = _load_system(args.matrix)
+        try:
+            a, b = load_system(args.matrix)
+        except OSError as exc:
+            raise _CliError(EXIT_NOINPUT, f"cannot read {args.matrix}: {exc}") from exc
         if args.size is not None and args.size != a.shape[0]:
             raise _CliError(
                 EXIT_DATAERR,
@@ -133,35 +102,6 @@ def _build_problem(args) -> tuple[PreparedMatrix, np.ndarray]:
     a = PreparedMatrix(gen_spd_diag_dominant(args.size, args.seed))
     # Deterministic right-hand side with known solution x = 1.
     return a, gemv(a, np.ones(args.size))
-
-
-def _print_solve_report(name, n, report, x) -> None:
-    final = report.relative_residuals[-1] if report.relative_residuals else 0.0
-    print(f"solver: {name}")
-    print(f"n: {n}")
-    print(f"converged: {'yes' if report.converged else 'no'}")
-    print(f"iterations: {report.iterations}")
-    print(f"relative residual: {final:.6e}")
-    print(f"flops: {report.flops}")
-    if report.fault_events or report.rng_algorithm:
-        print(f"fault events: {len(report.fault_events)}")
-    if n <= 8:
-        print("solution: [" + ", ".join(_fmt(v) for v in x) + "]")
-
-
-def _solve_json_doc(name, n, args, report, x) -> dict:
-    final = report.relative_residuals[-1] if report.relative_residuals else 0.0
-    return {
-        "solver": name,
-        "n": n,
-        "tol": args.tol,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "relative_residual": final,
-        "relative_residuals": report.relative_residuals,
-        "flops": report.flops,
-        "solution": [float(v) for v in x],
-    }
 
 
 def _check_size(args) -> None:
@@ -177,33 +117,16 @@ def _check_size(args) -> None:
         )
 
 
-def _require_problem_source(args) -> None:
+def _cmd_solve(args) -> int:
+    """solve runs plain CG once.  solve-ss runs fault-free SS-CG as the baseline
+    and, unless --fault-rate is 0, SS-CG again under injection."""
     if args.size is None and args.matrix is None:
         args.parser.error("one of --size or --matrix is required")
     if args.matrix is None:
         _check_size(args)
-
-
-def _cmd_solve(args) -> int:
-    _require_problem_source(args)
-    cfg = _settings(SolveConfig, tol=args.tol, max_iter=args.max_iter)
-    a, b = _build_problem(args)
-    try:
-        x, report = cg_solve(a, b, cfg)
-    except SolverDivergedError as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    if args.json:
-        _emit_json(_solve_json_doc("cg", b.size, args, report, x))
-    else:
-        _print_solve_report("cg", b.size, report, x)
-    return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
-
-
-def _cmd_solve_ss(args) -> int:
-    _require_problem_source(args)
+    ss = args.command == "solve-ss"
     policy = None
-    if args.fault_rate != 0:  # a negative or NaN rate reaches FaultPolicy's check
+    if ss and args.fault_rate != 0:  # a negative or NaN rate reaches FaultPolicy's check
         policy = _settings(
             FaultPolicy,
             rate=args.fault_rate,
@@ -211,39 +134,60 @@ def _cmd_solve_ss(args) -> int:
             bit_domain=args.fault_bits.replace("-", "_"),
             seed=args.fault_seed,
         )
-    cfg = _settings(SolveConfig, tol=args.tol, max_iter=args.max_iter, ss_period=args.ss_period)
+    schedule = {"ss_period": args.ss_period} if ss else {}
+    cfg = _settings(SolveConfig, tol=args.tol, max_iter=args.max_iter, **schedule)
     a, b = _build_problem(args)
     try:
-        x, baseline = sscg_solve(a, b, cfg)
+        x, baseline = (sscg_solve if ss else cg_solve)(a, b, cfg)
         report = baseline
         if policy is not None:  # without faults the run would repeat the baseline bit for bit
             x, report = sscg_solve(a, b, dataclasses.replace(cfg, fault_policy=policy))
     except SolverDivergedError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    name = "sscg" if ss else "cg"
+    final = report.relative_residuals[-1] if report.relative_residuals else 0.0
     overhead = None
-    if baseline.converged and baseline.iterations > 0:
+    if ss and baseline.converged and baseline.iterations > 0:
         overhead = 100.0 * (report.iterations - baseline.iterations) / baseline.iterations
     if args.json:
-        doc = _solve_json_doc("sscg", b.size, args, report, x)
-        doc.update(
-            {
-                "ss_period": args.ss_period,
-                "fault_rate": args.fault_rate,
-                "fault_bits": args.fault_bits,
-                "flips_per_event": args.flips,
-                "fault_seed": args.fault_seed,
-                "fault_events": [e.to_dict() for e in report.fault_events],
-                "rng_algorithm": report.rng_algorithm,
-                "baseline_iterations": baseline.iterations,
-                "overhead_percent": overhead,
-            }
-        )
+        doc = {
+            "solver": name,
+            "n": b.size,
+            "tol": args.tol,
+            "converged": report.converged,
+            "iterations": report.iterations,
+            "relative_residual": final,
+            "relative_residuals": report.relative_residuals,
+            "flops": report.flops,
+            "solution": [float(v) for v in x],
+        }
+        if ss:
+            doc.update(
+                ss_period=args.ss_period,
+                fault_rate=args.fault_rate,
+                fault_bits=args.fault_bits,
+                flips_per_event=args.flips,
+                fault_seed=args.fault_seed,
+                fault_events=[e.to_dict() for e in report.fault_events],
+                rng_algorithm=report.rng_algorithm,
+                baseline_iterations=baseline.iterations,
+                overhead_percent=overhead,
+            )
         _emit_json(doc)
-    else:
-        _print_solve_report("sscg", b.size, report, x)
-        if overhead is not None:
-            print(f"iteration overhead: {overhead:.1f}% (fault-free baseline: {baseline.iterations})")
+        return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
+    print(f"solver: {name}")
+    print(f"n: {b.size}")
+    print(f"converged: {'yes' if report.converged else 'no'}")
+    print(f"iterations: {report.iterations}")
+    print(f"relative residual: {final:.6e}")
+    print(f"flops: {report.flops}")
+    if report.fault_events or report.rng_algorithm:
+        print(f"fault events: {len(report.fault_events)}")
+    if b.size <= 8:
+        print("solution: [" + ", ".join(_fmt(v) for v in x) + "]")
+    if overhead is not None:
+        print(f"iteration overhead: {overhead:.1f}% (fault-free baseline: {baseline.iterations})")
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
@@ -379,30 +323,20 @@ def _cmd_ets(args) -> int:
     alpha = _ss_fraction(args)
     _check_size(args)
     ref_sample, tgt_sample, llc = _match_args(args, "on_chip", bare=False)
-    report = iso_mod.match(_MODE_FLAGS[args.mode.removeprefix("iso-")], ref_sample, tgt_sample,
-                           **llc, ss_fraction=alpha)
-    hybrid = iso_mod.HybridSystem(ref_sample, tgt_sample, report.cluster_count, alpha)
-
     # Work for the modelled problem: a fault-free solve fixes the iteration count.
     a, b = _build_problem(args)
     _, solve_report = cg_solve(a, b, SolveConfig())
-    flops_total = solve_report.flops
-
-    percents = list(args.degradation)
-    try:
-        breakeven = iso_mod.breakeven_degradation(ref_sample, hybrid)
-    except NoBreakEvenError:
-        breakeven = None
-    if breakeven is not None and not any(abs(p - 100.0 * breakeven) < 1e-9 for p in percents):
-        percents = sorted(percents + [100.0 * breakeven])
-    curve = iso_mod.ets_curve(ref_sample, hybrid, [p / 100.0 for p in percents], flops_total)
+    report, breakeven, curve = iso_mod.ets_analysis(
+        _MODE_FLAGS[args.mode.removeprefix("iso-")], ref_sample, tgt_sample, args.degradation,
+        solve_report.flops, **llc, ss_fraction=alpha,
+    )
 
     if args.json:
         _emit_json(
             {
                 "mode": report.mode,
                 "cluster_count": report.cluster_count,
-                "flops_total": flops_total,
+                "flops_total": solve_report.flops,
                 "problem_size": args.size,
                 "iterations": solve_report.iterations,
                 "reference": {"gflops": ref_sample.gflops, "watts": ref_sample.watts},
@@ -457,7 +391,7 @@ def build_parser() -> _Parser:
 
     solve_ss = subs.add_parser("solve-ss", help="run self-stabilizing CG with fault injection")
     _add_solve_flags(solve_ss, ss=True)
-    solve_ss.set_defaults(func=_cmd_solve_ss)
+    solve_ss.set_defaults(func=_cmd_solve)
 
     iso = subs.add_parser("iso", help="iso-metric cluster matching")
     iso.add_argument("--mode", choices=list(_MODE_FLAGS), required=True)

@@ -22,6 +22,7 @@ and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InfeasibleError, NoBreakEvenError
 from .machine import PerfSample
@@ -43,6 +44,8 @@ __all__ = [
     "ets",
     "ets_curve",
     "breakeven_degradation",
+    "EtsAnalysis",
+    "ets_analysis",
 ]
 
 ISO_PERFORMANCE = "iso_performance"
@@ -274,3 +277,29 @@ def breakeven_degradation(ref: PerfSample, h: HybridSystem) -> float:
             f"the reference ({ets(1e9, ref.gflops, ref.watts):.4g} J/GFLOP)"
         )
     return d
+
+
+class EtsAnalysis(NamedTuple):
+    """The matched hybrid, its break-even degradation and its energy-to-solution curve."""
+
+    report: IsoReport
+    breakeven: float | None  # None when the hybrid is never cheaper
+    curve: list[tuple[EtsPoint, EtsPoint]]
+
+
+def ets_analysis(mode: str, ref: PerfSample, target: PerfSample, percents, flops_total: float,
+                 *, ref_llc_bytes: float, target_llc_bytes: float,
+                 ss_fraction: float) -> EtsAnalysis:
+    """Energy to solution of ``ref`` and of the hybrid :func:`match` finds for it, at each
+    degradation in ``percents`` (in percent) and at the break-even if not listed already."""
+    report = match(mode, ref, target, ref_llc_bytes=ref_llc_bytes,
+                   target_llc_bytes=target_llc_bytes, ss_fraction=ss_fraction)
+    hybrid = HybridSystem(ref, target, report.cluster_count, ss_fraction)
+    try:
+        breakeven = breakeven_degradation(ref, hybrid)
+    except NoBreakEvenError:
+        breakeven = None
+    if breakeven is not None and not any(abs(p - 100.0 * breakeven) < 1e-9 for p in percents):
+        percents = sorted([*percents, 100.0 * breakeven])
+    curve = ets_curve(ref, hybrid, [p / 100.0 for p in percents], flops_total)
+    return EtsAnalysis(report, breakeven, curve)
