@@ -18,6 +18,9 @@ product cannot derail convergence:
 
 Both solvers accept A as an array or as a :class:`~isocg.linalg.PreparedMatrix`
 and prepare it once per solve, so every product reuses one column layout.
+:func:`load_system` reads a system from the JSON file ``isocg solve --matrix``
+takes, and rejects an A that is not square, finite and symmetric to within
+rounding.
 
 Flop accounting covers the matrix-vector products only (2*n*n each); the
 O(n) vector operations are deliberately ignored so that a plain solve
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IsocgError, SolverDivergedError
 from .faults import FaultEvent, FaultInjector, FaultPolicy
-from .linalg import PreparedMatrix, as_square_matrix, as_vector, dot, gemv
+from .linalg import PreparedMatrix, _upper_tiles, as_square_matrix, as_vector, dot, gemv
 
 __all__ = ["SolveConfig", "SolveReport", "cg_solve", "sscg_solve", "load_system"]
 
@@ -91,17 +94,25 @@ def _check_system(a, b) -> tuple[PreparedMatrix, np.ndarray]:
 def load_system(path) -> tuple[PreparedMatrix, np.ndarray]:
     """A x = b from a JSON file with fields ``A`` (square, symmetric) and optional ``b``
     (default A times ones).  Bad content raises :class:`IsocgError`; ``OSError`` passes through."""
-    data = Path(path).read_bytes()
+    # Each form of the file is dropped once the next is built: the bytes, the
+    # text and the parsed rows of A each take several times A's own 8 n^2 bytes.
+    text = Path(path).read_bytes()
     try:
-        doc = json.loads(data.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-        a = PreparedMatrix(as_square_matrix(doc["A"]))
+        text = text.decode("utf-8")  # UnicodeDecodeError is a ValueError
+        doc = json.loads(text)
+        del text
+        a = as_square_matrix(doc["A"])
+        del doc["A"]
         b = as_vector(doc["b"]) if "b" in doc else None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise IsocgError(f"bad system file {path}: {exc}") from exc
+    a = PreparedMatrix(a)
     # JSON admits Infinity and NaN, which would only surface later as a diverged solve.
     if not np.isfinite(a.cols).all() or (b is not None and not np.isfinite(b).all()):
         raise IsocgError(f"bad system file {path}: non-finite entries")
-    asymmetry = np.abs(a.cols - a.cols.T).max()
+    # Tile by tile, without the two n-by-n temporaries of a whole-matrix A - Aᵀ.
+    m = a.cols
+    asymmetry = max(np.abs(m[r, c] - m[c, r].T).max() for r, c in _upper_tiles(m.shape[0]))
     if asymmetry > _SYMMETRY_TOL * np.abs(a.cols).max():
         raise IsocgError(
             f"bad system file {path}: A is not symmetric "
