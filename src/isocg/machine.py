@@ -273,12 +273,25 @@ def _texts(record) -> dict[str, str]:
     return texts
 
 
+def _machines_parser() -> configparser.ConfigParser:
+    # Values are read literally: no "%" interpolation.  No "[...]" header can
+    # spell a newline, so a machine named DEFAULT is an ordinary section.
+    return configparser.ConfigParser(interpolation=None, default_section="\n")
+
+
 def _parse_machines(path: Path, sset: SampleSet) -> None:
-    # Values are read literally: no "%" interpolation.
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = _machines_parser()
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:  # a ParsingError
+        raise SampleSetError(
+            f"{path}:{exc.lineno}: expected a [section] header, got {exc.line!r}"
+        ) from exc
+    except configparser.ParsingError as exc:
+        # Its message puts each bad line on a line of its own; name the first.
+        lineno, line = exc.errors[0]
+        raise SampleSetError(f"{path}:{lineno}: expected key = value, got {line}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise SampleSetError(f"{path}: {exc}") from exc
     for name in parser.sections():
@@ -335,7 +348,7 @@ def save_sampleset(sset: SampleSet, directory) -> None:
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = _machines_parser()
     for name in sorted(sset.specs):
         parser[name] = {k: v for k, v in _texts(sset.specs[name]).items() if k != "name"}
     with open(out / MACHINES_FILENAME, "w", encoding="utf-8") as handle:

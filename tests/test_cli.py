@@ -682,6 +682,30 @@ class TestDataSetFieldErrors:
         assert result.stdout == ""
 
 
+class TestMalformedMachinesFile:
+    """A machines.ini line that configparser cannot read is bad data (65), named on one line."""
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("[a15]\n", "garbage\n[a15]\n", ":1: expected a [section] header, got 'garbage\\n'"),
+            ("[a7]\n", "[a7]\ngarbage\nmore junk\n", ":9: expected key = value, got 'garbage\\n'"),
+        ],
+        ids=["before-first-section", "inside-a-section"],
+    )
+    def test_exit_65_on_one_line(self, tmp_path, old, new, message):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        path = tmp_path / "machines.ini"
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        result = subprocess.run([sys.executable, "-m", "isocg", *_ISO_PERF, "--data", str(tmp_path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 65, result.stderr
+        assert result.stderr == f"isocg: {path}{message}\n"
+        assert result.stdout == ""
+
+
 class TestSizeBudget:
     """A --size whose A alone exceeds physical memory is a usage error, found before any allocation."""
 

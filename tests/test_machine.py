@@ -223,6 +223,14 @@ class TestLoadSave:
         save_sampleset(sset, tmp_path)
         assert load_sampleset(tmp_path) == sset
 
+    def test_machine_named_default_round_trips(self, tmp_path):
+        sset = SampleSet()
+        for name in ("DEFAULT", "box"):
+            sset.add_spec(spec(name))
+            sset.add_sample(sample(machine=name))
+        save_sampleset(sset, tmp_path)
+        assert load_sampleset(tmp_path) == sset
+
     def test_load_from_csv_path(self, bundled_data, tmp_path):
         save_sampleset(bundled_data, tmp_path)
         assert load_sampleset(tmp_path / "samples.csv") == bundled_data
