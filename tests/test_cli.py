@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import signal
@@ -704,6 +705,19 @@ class TestMalformedMachinesFile:
         assert result.returncode == 65, result.stderr
         assert result.stderr == f"isocg: {path}{message}\n"
         assert result.stdout == ""
+
+
+class TestTracedSeams:
+    """Every attribute the benchmark's tracer wraps exists, so a moved name fails here, not in
+    ``perfbench/run.py --trace 1``."""
+
+    def test_every_target_resolves(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert [(owner.__name__, attr) for owner, attr, *_ in spans._targets()
+                if not hasattr(owner, attr)] == []
 
 
 class TestSizeBudget:
