@@ -175,19 +175,19 @@ def _cmd_solve(args) -> int:
                 overhead_percent=overhead,
             )
         _emit_json(doc)
-        return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
-    print(f"solver: {name}")
-    print(f"n: {b.size}")
-    print(f"converged: {'yes' if report.converged else 'no'}")
-    print(f"iterations: {report.iterations}")
-    print(f"relative residual: {final:.6e}")
-    print(f"flops: {report.flops}")
-    if report.fault_events or report.rng_algorithm:
-        print(f"fault events: {len(report.fault_events)}")
-    if b.size <= 8:
-        print("solution: [" + ", ".join(_fmt(v) for v in x) + "]")
-    if overhead is not None:
-        print(f"iteration overhead: {overhead:.1f}% (fault-free baseline: {baseline.iterations})")
+    else:
+        print(f"solver: {name}")
+        print(f"n: {b.size}")
+        print(f"converged: {'yes' if report.converged else 'no'}")
+        print(f"iterations: {report.iterations}")
+        print(f"relative residual: {final:.6e}")
+        print(f"flops: {report.flops}")
+        if report.fault_events or report.rng_algorithm:
+            print(f"fault events: {len(report.fault_events)}")
+        if b.size <= 8:
+            print("solution: [" + ", ".join(_fmt(v) for v in x) + "]")
+        if overhead is not None:
+            print(f"iteration overhead: {overhead:.1f}% (fault-free baseline: {baseline.iterations})")
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 

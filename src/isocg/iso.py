@@ -21,6 +21,7 @@ and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -287,8 +288,8 @@ class EtsAnalysis(NamedTuple):
     curve: list[tuple[EtsPoint, EtsPoint]]
 
 
-def ets_analysis(mode: str, ref: PerfSample, target: PerfSample, percents, flops_total: float,
-                 *, ref_llc_bytes: float, target_llc_bytes: float,
+def ets_analysis(mode: str, ref: PerfSample, target: PerfSample, percents: Sequence[float],
+                 flops_total: float, *, ref_llc_bytes: float, target_llc_bytes: float,
                  ss_fraction: float) -> EtsAnalysis:
     """Energy to solution of ``ref`` and of the hybrid :func:`match` finds for it, at each
     degradation in ``percents`` (in percent) and at the break-even if not listed already."""
