@@ -104,7 +104,9 @@ def load_system(path) -> tuple[PreparedMatrix, np.ndarray]:
         a = as_square_matrix(doc["A"])
         del doc["A"]
         b = as_vector(doc["b"]) if "b" in doc else None
-    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        # JSONDecodeError is a ValueError.  An integer beyond float64's range
+        # overflows, and arrays nested past the parser's depth limit recurse.
         raise IsocgError(f"bad system file {path}: {exc}") from exc
     a = PreparedMatrix(a)
     # JSON admits Infinity and NaN, which would only surface later as a diverged solve.
@@ -113,7 +115,7 @@ def load_system(path) -> tuple[PreparedMatrix, np.ndarray]:
     # Tile by tile, without the two n-by-n temporaries of a whole-matrix A - Aᵀ.
     m = a.cols
     asymmetry = max(np.abs(m[r, c] - m[c, r].T).max() for r, c in _upper_tiles(m.shape[0]))
-    if asymmetry > _SYMMETRY_TOL * np.abs(a.cols).max():
+    if asymmetry > _SYMMETRY_TOL * np.abs(m).max():
         raise IsocgError(
             f"bad system file {path}: A is not symmetric "
             f"(max|A - A^T| = {asymmetry:.3g} exceeds {_SYMMETRY_TOL:g} * max|A|)"

@@ -595,6 +595,30 @@ class TestNonSymmetricSystemFile:
 _ISO_PERF = ["iso", "--mode", "perf", "--ref", "a15:4:1.6", "--target", "a7:0.5"]
 
 
+class TestSystemFileBeyondLimits:
+    """A --matrix file with an integer too large for a float64, or arrays nested past the
+    JSON parser's depth limit, is bad data (65) on one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ('{"A": [[1%s]]}' % ("0" * 400), "int too large to convert to float"),
+            ('{"A": [[2]], "b": [-1%s]}' % ("0" * 400), "int too large to convert to float"),
+            ('{"A": %s%s}' % ("[" * 100_000, "]" * 100_000), "maximum recursion depth exceeded"),
+        ],
+        ids=["huge-int-in-A", "huge-int-in-b", "deep-nesting"],
+    )
+    def test_exit_65_without_traceback(self, tmp_path, text, message):
+        path = tmp_path / "system.json"
+        path.write_text(text)
+        result = subprocess.run([sys.executable, "-m", "isocg", "solve", "--matrix", str(path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 65, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith(f"isocg: bad system file {path}: {message}")
+        assert result.stdout == ""
+
+
 class TestNonUtf8Input:
     """A --matrix file or data-set file that is not UTF-8 is bad data (65), named on one line."""
 
