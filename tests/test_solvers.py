@@ -211,6 +211,27 @@ class TestSelfStabilizingCg:
         assert report.iterations >= clean.iterations
         assert oracles.true_relative_residual(a, x, b) <= 1e-8
 
+    @pytest.mark.parametrize("ss_period, factor, message, k", [
+        (2, 1e-300, "non-finite state after correction at iteration 2", 2),
+        (2, 1e-310, "non-finite residual at iteration 1", 1),
+        (10, 1e-300, "search direction degenerated at iteration 8 (p.Ap = inf)", 8),
+    ])
+    def test_each_divergence_path_reports_its_iteration(self, ss_period, factor, message, k):
+        # Shrinking the first product makes alpha, and then the state, overflow.
+        class FirstProductScaled(FaultInjector):
+            def inject(self, v):
+                self.call_index += 1
+                return (v * factor if self.call_index == 1 else v), []
+
+        a, b = dd_problem(8, 1)
+        with pytest.raises(SolverDivergedError) as info:
+            sscg_solve(a, b, SolveConfig(ss_period=ss_period),
+                       injector=FirstProductScaled(FaultPolicy(rate=1.0, seed=0)))
+        assert str(info.value) == message
+        assert info.value.report.converged is False
+        assert info.value.report.iterations == k
+        assert info.value.x is not None
+
     def test_explicit_injector_argument(self):
         a, b = dd_problem(32, 1)
         injector = FaultInjector(FaultPolicy(rate=0.5, bit_domain="sign", seed=8))
