@@ -251,9 +251,9 @@ def _match_args(args, problem_class: str, *, bare: bool):
 
 
 def _ss_fraction(args) -> float:
-    """The reliable share alpha: ``--ss-fraction``, in (0, 1), or 0.1 without it."""
+    """The reliable share alpha: ``--ss-fraction``, in (0, 1), or the model's default."""
     if args.ss_fraction is None:
-        return 0.1
+        return iso_mod.HybridSystem.ss_fraction
     if not 0.0 < args.ss_fraction < 1.0:
         args.parser.error(f"--ss-fraction must lie in (0, 1), got {args.ss_fraction}")
     return args.ss_fraction
@@ -402,7 +402,8 @@ def build_parser() -> _Parser:
     iso.add_argument("--hybrid", action="store_true",
                      help="compose reliable ref cluster + n unreliable target clusters")
     iso.add_argument("--ss-fraction", type=float, default=None,
-                     help="fraction of work on the reliable cluster (default 0.1)")
+                     help="fraction of work on the reliable cluster "
+                          f"(default {iso_mod.HybridSystem.ss_fraction})")
     fmt = iso.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -448,7 +449,3 @@ def main() -> None:
     # A closed stdout ends the process by SIGPIPE, as it does other Unix filters.
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -187,20 +187,16 @@ class FaultInjector:
         idx = int(self.rng.integers(0, out.size))
         before = float_to_bits(out[idx])
         domain = BIT_DOMAINS[self.policy.bit_domain]
-        positions = self._draw_positions(domain, self.policy.flips_per_event)
-        after = _xor_bits(before, positions)
-        if not self.policy.allow_nonfinite and not math.isfinite(bits_to_float(after)):
-            for _ in range(_MAX_REDRAWS):
-                positions = self._draw_positions(domain, self.policy.flips_per_event)
-                after = _xor_bits(before, positions)
-                if math.isfinite(bits_to_float(after)):
-                    break
-            else:
-                fallback = BIT_DOMAINS["sign_mantissa"]
-                positions = self._draw_positions(
-                    fallback, min(self.policy.flips_per_event, len(fallback))
-                )
-                after = _xor_bits(before, positions)
+        count = self.policy.flips_per_event
+        # A draw, up to _MAX_REDRAWS redraws, and a last draw from sign/mantissa.
+        for attempt in range(_MAX_REDRAWS + 2):
+            if attempt == _MAX_REDRAWS + 1:
+                domain = BIT_DOMAINS["sign_mantissa"]
+                count = min(count, len(domain))
+            positions = self._draw_positions(domain, count)
+            after = _xor_bits(before, positions)
+            if self.policy.allow_nonfinite or math.isfinite(bits_to_float(after)):
+                break
 
         out[idx] = bits_to_float(after)
         event = FaultEvent(

@@ -65,9 +65,6 @@ class SolveConfig:
         if self.ss_period < 1:
             raise ValueError(f"ss_period must be >= 1, got {self.ss_period}")
 
-    def resolved_max_iter(self, n: int) -> int:
-        return self.max_iter if self.max_iter is not None else _MAX_ITER_FACTOR * n
-
 
 @dataclass
 class SolveReport:
@@ -142,6 +139,7 @@ def _solve(
     cfg = cfg if cfg is not None else SolveConfig()
     m, rhs = _check_system(a, b)
     n = rhs.size
+    max_iter = cfg.max_iter if cfg.max_iter is not None else _MAX_ITER_FACTOR * n
     if injector is None and cfg.fault_policy is not None:
         injector = FaultInjector(cfg.fault_policy)
     algorithm = injector.algorithm if injector is not None else None
@@ -152,6 +150,9 @@ def _solve(
 
     def report(converged, k):
         return SolveReport(converged, k, hist, products * 2 * n * n, events, algorithm)
+
+    def diverged(message, k):
+        return SolverDivergedError(message, report=report(False, k), x=x)
 
     # An injected fault can overflow a product or a vector update.  The loop
     # raises SolverDivergedError on every non-finite scalar it branches on, so
@@ -164,7 +165,7 @@ def _solve(
         # No step updates a vector in place, so r and p may share memory.
         r = p = rhs
         rho = dot(r, r)
-        for k in range(1, cfg.resolved_max_iter(n) + 1):
+        for k in range(1, max_iter + 1):
             reliable = stabilize and k % cfg.ss_period == 0
             w = gemv(m, p)
             products += 1
@@ -175,9 +176,8 @@ def _solve(
                 events.extend(new_events)
             denom = dot(p, w)
             if denom == 0.0 or not math.isfinite(denom):
-                raise SolverDivergedError(
-                    f"search direction degenerated at iteration {k} (p.Ap = {denom})",
-                    report=report(False, k), x=x,
+                raise diverged(
+                    f"search direction degenerated at iteration {k} (p.Ap = {denom})", k
                 )
             alpha = rho / denom
             x = x + alpha * p
@@ -185,9 +185,7 @@ def _solve(
                 r = r - alpha * w
                 rho_new = dot(r, r)
                 if not math.isfinite(rho_new):
-                    raise SolverDivergedError(
-                        f"non-finite residual at iteration {k}", report=report(False, k), x=x
-                    )
+                    raise diverged(f"non-finite residual at iteration {k}", k)
                 rel = math.sqrt(rho_new) / bnorm
                 if not (stabilize and rel <= cfg.tol):
                     hist.append(rel)
@@ -203,16 +201,13 @@ def _solve(
             products += 1
             rho = dot(r, r)
             if reliable and not math.isfinite(rho):
-                raise SolverDivergedError(
-                    f"non-finite state after correction at iteration {k}",
-                    report=report(False, k), x=x,
-                )
+                raise diverged(f"non-finite state after correction at iteration {k}", k)
             rel = math.sqrt(rho) / bnorm
             hist.append(rel)
             if rel <= cfg.tol:
                 return x, report(True, k)
 
-        return x, report(False, cfg.resolved_max_iter(n))
+        return x, report(False, max_iter)
 
 
 def cg_solve(a, b, cfg: SolveConfig | None = None) -> tuple[np.ndarray, SolveReport]:
