@@ -292,6 +292,12 @@ def _parse_machines(path: Path, sset: SampleSet) -> None:
         # Its message puts each bad line on a line of its own; name the first.
         lineno, line = exc.errors[0]
         raise SampleSetError(f"{path}:{lineno}: expected key = value, got {line}") from exc
+    except configparser.DuplicateSectionError as exc:
+        raise SampleSetError(f"{path}:{exc.lineno}: duplicate machine {exc.section!r}") from exc
+    except configparser.DuplicateOptionError as exc:
+        raise SampleSetError(
+            f"{path}:{exc.lineno}: duplicate key {exc.option!r} in machine {exc.section!r}"
+        ) from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise SampleSetError(f"{path}: {exc}") from exc
     for name in parser.sections():
