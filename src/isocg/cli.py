@@ -55,6 +55,11 @@ _ADDRESS_FIELDS = {"cores": int, "freq": float}
 # Most points an ets --degradation range may hold; the default has 41.
 _MAX_DEGRADATION_POINTS = 10_000
 
+# Least peak memory of loading a --matrix file, per byte of the file: its bytes
+# and its decoded text coexist, and the text takes at least half the bytes'
+# room (two-byte UTF-8 characters below U+0100 decode to one byte each).
+_LOAD_PEAK_PER_FILE_BYTE = 1.5
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
@@ -86,10 +91,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_file_size(path) -> None:
+    """Reject a --matrix file whose size alone predicts a load peak above physical memory."""
+    size = os.path.getsize(path)
+    need = math.ceil(_LOAD_PEAK_PER_FILE_BYTE * size)
+    memory = _physical_memory()
+    if need > memory:
+        raise _CliError(
+            EXIT_DATAERR,
+            f"{path}: loading its {size} bytes needs at least {need} bytes, "
+            f"more than the {memory} bytes of physical memory",
+        )
+
+
 def _build_problem(args) -> tuple[PreparedMatrix, np.ndarray]:
     """The system to solve, with A prepared once for the right-hand side and every solve."""
     if args.matrix is not None:
         try:
+            _check_file_size(args.matrix)
             a, b = load_system(args.matrix)
         except OSError as exc:
             raise _CliError(EXIT_NOINPUT, f"cannot read {args.matrix}: {exc}") from exc
@@ -108,7 +131,7 @@ def _check_size(args) -> None:
     """Reject a --size below 1, or one whose A alone would not fit in physical memory."""
     if args.size < 1:
         args.parser.error(f"--size must be >= 1, got {args.size}")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     if 8 * args.size**2 > memory:
         raise _CliError(
             EXIT_USAGE,

@@ -472,6 +472,45 @@ class TestPackageExports:
         assert [name for name in isocg.__all__ if not hasattr(isocg, name)] == []
 
 
+class TestImportCost:
+    """``import isocg`` loads only these modules, and they import only these at module level,
+    so a new import shows here rather than as a slower start of every command."""
+
+    MODULES = ("__init__", "errors", "linalg", "faults", "solvers", "machine", "iso")
+    IMPORTS = {"__future__", "collections.abc", "configparser", "csv", "dataclasses", "json",
+               "math", "numpy", "os", "pathlib", "struct", "typing"}
+
+    def test_import_isocg_loads_the_listed_modules(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, isocg; print(*sorted(m for m in sys.modules if m.startswith('isocg')))"],
+            capture_output=True, text=True, check=True,
+        )
+        names = {name.removeprefix("isocg").removeprefix(".") or "__init__"
+                 for name in result.stdout.split()}
+        assert names == set(self.MODULES)
+
+    def test_module_level_imports_are_the_listed_ones(self):
+        found = {}
+        for module in self.MODULES:
+            path = Path(isocg.__file__).with_name(f"{module}.py")
+            nodes = list(ast.parse(path.read_text(encoding="utf-8")).body)
+            while nodes:  # everything that runs at import; function bodies run later
+                node = nodes.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    names = []
+                for name in names:
+                    found.setdefault(name, []).append(module)
+                nodes.extend(ast.iter_child_nodes(node))
+        assert {name: found[name] for name in set(found) - self.IMPORTS} == {}
+
+
 class TestSubprocessEntryPoints:
     def test_python_m_isocg(self):
         result = subprocess.run(
@@ -731,6 +770,30 @@ class TestMalformedMachinesFile:
         assert result.stdout == ""
 
 
+class TestDuplicateMachinesEntry:
+    """A machine or a key given twice in machines.ini is bad data (65), with the file named once."""
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("[xeon]\n", "[a7]\n", ":15: duplicate machine 'a7'"),
+            ("[a7]\n", "[a7]\nllc_bytes = 1\n", ":13: duplicate key 'llc_bytes' in machine 'a7'"),
+        ],
+        ids=["machine", "key"],
+    )
+    def test_exit_65_on_one_line(self, tmp_path, old, new, message):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        path = tmp_path / "machines.ini"
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        result = subprocess.run([sys.executable, "-m", "isocg", *_ISO_PERF, "--data", str(tmp_path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 65, result.stderr
+        assert result.stderr == f"isocg: {path}{message}\n"
+        assert result.stdout == ""
+
+
 class TestTracedSeams:
     """Every attribute the benchmark's tracer wraps exists, so a moved name fails here, not in
     ``perfbench/run.py --trace 1``."""
@@ -758,6 +821,43 @@ class TestSizeBudget:
         assert out == ""
         assert err.startswith(f"isocg: --size {10**8} needs {8 * 10**16} bytes for A")
         assert len(err.splitlines()) == 1
+
+
+class TestMatrixFileBudget:
+    """A --matrix file whose size alone predicts a load peak above physical memory is bad
+    data (65), found before the file is read; --size is checked against the same memory."""
+
+    def write_system(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text('{"A": [[4, 1], [1, 3]], "b": [1, 2]}')  # 36 bytes, a 54-byte peak
+        return path
+
+    @pytest.mark.parametrize("command", ["solve", "solve-ss"])
+    def test_exit_65_before_reading(self, capsys, monkeypatch, tmp_path, command):
+        def refuse(*args):
+            raise AssertionError("the file was read")
+
+        path = self.write_system(tmp_path)
+        monkeypatch.setattr(isocg.cli, "_physical_memory", lambda: 53)
+        monkeypatch.setattr(isocg.cli, "load_system", refuse)
+        code, out, err = run_cli(capsys, command, "--matrix", str(path))
+        assert code == 65
+        assert out == ""
+        assert err == (f"isocg: {path}: loading its 36 bytes needs at least 54 bytes, "
+                       "more than the 53 bytes of physical memory\n")
+
+    def test_a_file_at_the_budget_loads(self, capsys, monkeypatch, tmp_path):
+        path = self.write_system(tmp_path)
+        monkeypatch.setattr(isocg.cli, "_physical_memory", lambda: 54)
+        code, out, err = run_cli(capsys, "solve", "--matrix", str(path))
+        assert code == 0, err
+        assert "converged: yes" in out
+
+    def test_size_reads_the_same_memory(self, capsys, monkeypatch):
+        monkeypatch.setattr(isocg.cli, "_physical_memory", lambda: 8 * 16**2 - 1)
+        code, _, err = run_cli(capsys, "solve", "--size", "16")
+        assert code == 64
+        assert err.startswith("isocg: --size 16 needs 2048 bytes for A")
 
 
 class TestNegativeSeeds:
