@@ -95,24 +95,22 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_file_size(path) -> None:
-    """Reject a --matrix file whose size alone predicts a load peak above physical memory."""
-    size = os.path.getsize(path)
-    need = math.ceil(_LOAD_PEAK_PER_FILE_BYTE * size)
+def _check_memory(need: int, code: int, what: str) -> None:
+    """Fail with ``code`` when ``need`` bytes exceed physical memory; ``what`` opens the message."""
     memory = _physical_memory()
     if need > memory:
-        raise _CliError(
-            EXIT_DATAERR,
-            f"{path}: loading its {size} bytes needs at least {need} bytes, "
-            f"more than the {memory} bytes of physical memory",
-        )
+        raise _CliError(code, f"{what}, more than the {memory} bytes of physical memory")
 
 
 def _build_problem(args) -> tuple[PreparedMatrix, np.ndarray]:
     """The system to solve, with A prepared once for the right-hand side and every solve."""
     if args.matrix is not None:
         try:
-            _check_file_size(args.matrix)
+            # Refused before reading, when the file's size alone predicts too high a load peak.
+            size = os.path.getsize(args.matrix)
+            need = math.ceil(_LOAD_PEAK_PER_FILE_BYTE * size)
+            _check_memory(need, EXIT_DATAERR,
+                          f"{args.matrix}: loading its {size} bytes needs at least {need} bytes")
             a, b = load_system(args.matrix)
         except OSError as exc:
             raise _CliError(EXIT_NOINPUT, f"cannot read {args.matrix}: {exc}") from exc
@@ -131,13 +129,8 @@ def _check_size(args) -> None:
     """Reject a --size below 1, or one whose A alone would not fit in physical memory."""
     if args.size < 1:
         args.parser.error(f"--size must be >= 1, got {args.size}")
-    memory = _physical_memory()
-    if 8 * args.size**2 > memory:
-        raise _CliError(
-            EXIT_USAGE,
-            f"--size {args.size} needs {8 * args.size**2} bytes for A, "
-            f"more than the {memory} bytes of physical memory",
-        )
+    need = 8 * args.size**2
+    _check_memory(need, EXIT_USAGE, f"--size {args.size} needs {need} bytes for A")
 
 
 def _cmd_solve(args) -> int:
@@ -149,7 +142,7 @@ def _cmd_solve(args) -> int:
         _check_size(args)
     ss = args.command == "solve-ss"
     policy = None
-    if ss and args.fault_rate != 0:  # a negative or NaN rate reaches FaultPolicy's check
+    if ss:
         policy = _settings(
             FaultPolicy,
             rate=args.fault_rate,
@@ -163,7 +156,7 @@ def _cmd_solve(args) -> int:
     try:
         x, baseline = (sscg_solve if ss else cg_solve)(a, b, cfg)
         report = baseline
-        if policy is not None:  # without faults the run would repeat the baseline bit for bit
+        if ss and policy.rate != 0:  # without faults the run would repeat the baseline bit for bit
             x, report = sscg_solve(a, b, dataclasses.replace(cfg, fault_policy=policy))
     except SolverDivergedError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
@@ -230,14 +223,6 @@ def _parse_address(value: str, parser, form: str, *, bare: bool):
         parser.error(f"bad {'/'.join(fields)} in {value!r}")
 
 
-def _load_data(args):
-    path = Path(args.data) if args.data else default_data_dir()
-    try:
-        return load_sampleset(path)
-    except OSError as exc:
-        raise _CliError(EXIT_NOINPUT, f"cannot read data set: {exc}") from exc
-
-
 def _print_iso_report(report: iso_mod.IsoReport) -> None:
     print(f"mode: {report.mode}")
     print(f"clusters: {report.cluster_count:.4f}")
@@ -259,7 +244,10 @@ def _emit_iso_csv(report: iso_mod.IsoReport) -> None:
 def _match_args(args, problem_class: str, *, bare: bool):
     """``--ref`` and ``--target`` looked up in the data set, as the operating
     points (``None`` for a bare name) and LLC sizes :func:`iso.match` takes."""
-    sset = _load_data(args)
+    try:
+        sset = load_sampleset(Path(args.data) if args.data else default_data_dir())
+    except OSError as exc:
+        raise _CliError(EXIT_NOINPUT, f"cannot read data set: {exc}") from exc
     ref_name, cores, ref_freq = _parse_address(args.ref, args.parser, "machine:cores:freq",
                                                bare=bare)
     tgt_name, tgt_freq = _parse_address(args.target, args.parser, "machine:freq", bare=bare)
@@ -388,19 +376,21 @@ def _add_solve_flags(sub, ss: bool) -> None:
     sub.add_argument("--matrix", default=None,
                      help="JSON file with fields A (square) and optional b")
     sub.add_argument("--seed", type=_seed, default=0, help="generator seed (default 0)")
-    sub.add_argument("--tol", type=float, default=1.0e-8, help="relative residual threshold")
+    sub.add_argument("--tol", type=float, default=SolveConfig.tol, help="relative residual threshold")
     sub.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 50n)")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
     if ss:
-        sub.add_argument("--ss-period", type=int, default=10,
-                         help="iterations between reliable corrections (default 10)")
+        sub.add_argument("--ss-period", type=int, default=SolveConfig.ss_period,
+                         help="iterations between reliable corrections "
+                              f"(default {SolveConfig.ss_period})")
         sub.add_argument("--fault-rate", type=float, default=0.0,
                          help="fault probability per injectable product (default 0)")
-        sub.add_argument("--fault-bits", default="sign-mantissa",
+        sub.add_argument("--fault-bits", default=FaultPolicy.bit_domain.replace("_", "-"),
                          choices=sorted(d.replace("_", "-") for d in BIT_DOMAINS),
                          help="bit region eligible for flips")
-        sub.add_argument("--flips", type=int, default=1, help="bits flipped per event")
-        sub.add_argument("--fault-seed", type=_seed, default=0, help="injector RNG seed")
+        sub.add_argument("--flips", type=int, default=FaultPolicy.flips_per_event,
+                         help="bits flipped per event")
+        sub.add_argument("--fault-seed", type=_seed, default=FaultPolicy.seed, help="injector RNG seed")
 
 
 def build_parser() -> _Parser:
@@ -458,13 +448,10 @@ def run(argv=None) -> int:
     except _CliError as exc:
         print(f"isocg: {exc}", file=sys.stderr)
         return exc.code
-    except UnknownMachineError as exc:
-        print(f"isocg: {exc}", file=sys.stderr)
-        if exc.available:
-            print("available: " + ", ".join(exc.available), file=sys.stderr)
-        return EXIT_DATAERR
     except IsocgError as exc:
         print(f"isocg: {exc}", file=sys.stderr)
+        if isinstance(exc, UnknownMachineError) and exc.available:
+            print("available: " + ", ".join(exc.available), file=sys.stderr)
         return EXIT_DATAERR
 
 
