@@ -35,8 +35,8 @@ __all__ = [
     "gen_spd_spectrum",
 ]
 
-# Tile edge of the symmetry scan, the transposing copy and the generator's
-# mirror.  64 was fastest for all three at n=512..4096.
+# Tile edge of the symmetry scan and the generator's mirror.  64 was fastest
+# for both at n=512..4096.
 _BLOCK = 64
 
 
@@ -94,15 +94,6 @@ def _is_symmetric(m: np.ndarray) -> bool:
     return all(np.array_equal(bits[r, c], bits[c, r].T) for r, c in _upper_tiles(m.shape[0]))
 
 
-def _transposed(m: np.ndarray) -> np.ndarray:
-    """Aᵀ as a new C-contiguous array, copied tile by tile to stay in cache."""
-    t = np.empty((m.shape[1], m.shape[0]))
-    for i in range(0, m.shape[0], _BLOCK):
-        for j in range(0, m.shape[1], _BLOCK):
-            t[j : j + _BLOCK, i : i + _BLOCK] = m[i : i + _BLOCK, j : j + _BLOCK].T
-    return t
-
-
 class PreparedMatrix:
     """A matrix laid out for :func:`gemv`: ``cols`` holds Aᵀ, C-contiguous.
 
@@ -119,7 +110,7 @@ class PreparedMatrix:
             self.cols = a.cols
             return
         m = as_matrix(a)
-        self.cols = m if _is_symmetric(m) else _transposed(m)
+        self.cols = m if _is_symmetric(m) else m.T.copy()
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -556,6 +556,9 @@ class TestBadSettings:
             ["solve-ss", "--size", "8", "--fault-rate", "-0.5"],
             ["solve-ss", "--size", "8", "--fault-rate", "nan"],
             ["solve-ss", "--size", "8", "--fault-rate", "0.5", "--flips", "100"],
+            ["solve-ss", "--size", "8", "--flips", "0"],
+            ["solve-ss", "--size", "8", "--fault-bits", "sign", "--flips", "2"],
+            ["solve-ss", "--size", "8", "--fault-bits", "exponent", "--flips", "12"],
             ["ets", "--size", "0"],
         ],
         ids=" ".join,

@@ -152,6 +152,13 @@ class TestBlockedGemv:
         assert PreparedMatrix(a).cols is not a
         assert np.array_equal(PreparedMatrix(a).cols, a.T)
 
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+    def test_one_row_or_column_matrix_is_copied(self, rng, shape):
+        # The transpose of such an A is already C-contiguous, so
+        # np.ascontiguousarray(a.T) would return a view of A, not a copy.
+        a = rng.standard_normal(shape)
+        assert not np.shares_memory(PreparedMatrix(a).cols, a)
+
     @pytest.mark.parametrize(
         "make",
         [
