@@ -35,8 +35,8 @@ __all__ = [
     "gen_spd_spectrum",
 ]
 
-# Tile edge of the symmetry scan and the generator's mirror.  64 was fastest
-# for both at n=512..4096.
+# Tile edge of the symmetry scans and the generator's mirror.  64 was fastest
+# for the bitwise scan and the mirror at n=512..4096.
 _BLOCK = 64
 
 
