@@ -5,11 +5,13 @@ output element gets ``flips_per_event`` random bits XOR-flipped inside a
 chosen region of the IEEE-754 double layout.  By default results that
 would become NaN or +/-Inf are redrawn, keeping the corruption silent.
 
-The PCG64 stream fixes every decision.  Each call draws one uniform for the
-Bernoulli test.  A fault then draws the element with ``integers(0, n)`` and
-its bit positions from the domain's k bits: one flip is one bounded draw,
-``integers(0, k)``, the same draw ``choice(k, 1, replace=False)`` makes;
-several flips use ``choice(k, flips, replace=False)``.  A result that is not
+The raw 64-bit outputs of PCG64 fix every decision, drawn as numpy 2.x's
+``Generator`` draws them.  Each call takes one raw output for the Bernoulli
+test, whose top 53 bits scaled by 2**-53 are ``random()``.  A fault then
+draws the element, ``integers(0, n)``, by Lemire's method on 32-bit halves
+(the low half of a raw output, then its kept high half), and its bit
+positions from the domain's k bits by ``choice(k, flips, replace=False)``:
+Floyd's sampling, then a shuffle of the picks.  A result that is not
 finite, unless allowed, is redrawn from the same domain up to
 ``_MAX_REDRAWS`` times and then replaced by flips from the sign/mantissa
 domain.
@@ -53,6 +55,10 @@ BIT_DOMAINS: dict[str, tuple[int, ...]] = {
 # Redraw budget before falling back to the sign/mantissa domain, which can
 # never turn a finite value non-finite.
 _MAX_REDRAWS = 32
+
+# Raw PCG64 outputs read per refill, and the scale of numpy's 53-bit uniform.
+_RAW_BLOCK = 256
+_2_POW_M53 = 2.0**-53
 
 
 def float_to_bits(value: float) -> int:
@@ -156,38 +162,78 @@ def events_to_jsonl(events) -> str:
 class FaultInjector:
     """Stateful, seedable injector; one instance per solve.
 
-    The RNG is numpy's PCG64 (exposed as :attr:`algorithm` so reports can
-    record how to replay a run).  The Bernoulli draw advances the stream on
-    every call whether or not a fault fires.
+    The RNG is numpy's PCG64 (named by :attr:`algorithm` so reports can
+    record how to replay a run).  Its raw outputs are read ahead,
+    ``_RAW_BLOCK`` at a time, so the bit generator's state runs up to a block
+    ahead of the draws made.  Every call consumes one raw output for the rate
+    test, whether or not a fault fires.
     """
 
     algorithm = "pcg64"
 
     def __init__(self, policy: FaultPolicy):
         self.policy = policy
-        self.rng = np.random.default_rng(policy.seed)
+        self._bitgen = np.random.PCG64(policy.seed)
+        self._block = iter(())
+        # High half of the last raw output split into 32-bit draws, kept for
+        # the next one as PCG64's own ``has_uint32`` buffer keeps it.
+        self._half: int | None = None
         self.call_index = 0
 
+    def _raw(self) -> int:
+        try:
+            return next(self._block)
+        except StopIteration:
+            self._block = iter(self._bitgen.random_raw(_RAW_BLOCK).tolist())
+            return next(self._block)
+
+    def _below(self, n: int) -> int:
+        """``Generator.integers(0, n)`` for 1 <= n < 2**32: Lemire's method on 32-bit halves.
+
+        Larger counts take other numpy branches; no solve reaches them (its A
+        would need 2**67 bytes)."""
+        if n == 1:
+            return 0
+        while True:
+            half, self._half = self._half, None
+            if half is None:
+                raw = self._raw()
+                half, self._half = raw & 0xFFFFFFFF, raw >> 32
+            m = half * n
+            # Reject a low word below (2**32 - n) % n, which is less than n.
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (0x100000000 - n) % n:
+                return m >> 32
+
     def _draw_positions(self, domain: tuple[int, ...], count: int) -> list[int]:
+        k = len(domain)
         if count == 1:
-            # Same single bounded draw as ``choice(len(domain), 1, replace=False)``,
-            # at a fifth of its cost.
-            return [domain[int(self.rng.integers(0, len(domain)))]]
-        picks = self.rng.choice(len(domain), size=count, replace=False)
-        return [domain[int(i)] for i in picks]
+            # Floyd's sampling below with one pick is this single draw.
+            return [domain[self._below(k)]]
+        # ``Generator.choice(k, count, replace=False)``: Floyd's sampling, then
+        # a Fisher-Yates shuffle of the picks.
+        picks: list[int] = []
+        for j in range(k - count, k):
+            v = self._below(j + 1)
+            picks.append(j if v in picks else v)
+        for i in range(count - 1, 0, -1):
+            j = self._below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return [domain[i] for i in picks]
 
     def inject(self, v) -> tuple[np.ndarray, list[FaultEvent]]:
         """Return a possibly-corrupted copy of ``v`` and the events applied."""
         vec = as_vector(v)
         self.call_index += 1
-        if self.rng.random() >= self.policy.rate:
+        policy = self.policy
+        # numpy's ``random()``: the top 53 bits of a raw output, scaled to [0, 1).
+        if (self._raw() >> 11) * _2_POW_M53 >= policy.rate:
             return vec, []
 
         out = vec.copy()
-        idx = int(self.rng.integers(0, out.size))
+        idx = self._below(out.size)
         before = float_to_bits(out[idx])
-        domain = BIT_DOMAINS[self.policy.bit_domain]
-        count = self.policy.flips_per_event
+        domain = BIT_DOMAINS[policy.bit_domain]
+        count = policy.flips_per_event
         # A draw, up to _MAX_REDRAWS redraws, and a last draw from sign/mantissa.
         for attempt in range(_MAX_REDRAWS + 2):
             if attempt == _MAX_REDRAWS + 1:
@@ -195,15 +241,9 @@ class FaultInjector:
                 count = min(count, len(domain))
             positions = self._draw_positions(domain, count)
             after = _xor_bits(before, positions)
-            if self.policy.allow_nonfinite or math.isfinite(bits_to_float(after)):
+            value = bits_to_float(after)
+            if policy.allow_nonfinite or math.isfinite(value):
                 break
 
-        out[idx] = bits_to_float(after)
-        event = FaultEvent(
-            call_index=self.call_index,
-            element_index=idx,
-            bit_positions=sorted(positions),
-            before=before,
-            after=after,
-        )
-        return out, [event]
+        out[idx] = value
+        return out, [FaultEvent(self.call_index, idx, sorted(positions), before, after)]

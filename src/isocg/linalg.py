@@ -41,6 +41,9 @@ _BLOCK = 64
 
 
 _FLOAT64 = np.dtype(np.float64)
+# Bound once: each CG iteration calls dot twice.
+_multiply = np.multiply
+_accumulate = np.add.accumulate
 
 
 def as_vector(v) -> np.ndarray:
@@ -51,7 +54,8 @@ def as_vector(v) -> np.ndarray:
     attempted; that is the object ``np.asarray`` returns for it too.  Every
     other input is converted with ``np.asarray(v, dtype=np.float64)`` and
     then checked.  Raises :class:`DimensionMismatchError` for input that is
-    not 1-d or is empty.
+    not 1-d or is empty.  :func:`gemv` and :func:`dot` test the same fast
+    path inline, sparing a call per operand, and call this for the rest.
     """
     if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1 and v.size > 0:
         return v
@@ -125,7 +129,8 @@ def gemv(a, v) -> np.ndarray:
     multiply by the same A repeatedly should prepare it once.
     """
     cols = a.cols if isinstance(a, PreparedMatrix) else PreparedMatrix(a).cols
-    x = as_vector(v)
+    x = (v if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1 and v.size > 0
+         else as_vector(v))
     if cols.shape[0] != x.size:
         raise DimensionMismatchError(
             f"gemv: matrix has {cols.shape[0]} columns but vector has length {x.size}"
@@ -139,14 +144,16 @@ def gemv(a, v) -> np.ndarray:
 
 def dot(u, v) -> float:
     """Inner product accumulated left to right, starting from +0.0."""
-    a = as_vector(u)
-    b = as_vector(v)
+    a = (u if type(u) is np.ndarray and u.dtype is _FLOAT64 and u.ndim == 1 and u.size > 0
+         else as_vector(u))
+    b = (v if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1 and v.size > 0
+         else as_vector(v))
     if a.size != b.size:
         raise DimensionMismatchError(f"dot: lengths differ ({a.size} vs {b.size})")
     # The prefix sum starts from the first product; adding +0.0 turns its
     # -0.0 (every product a negative zero) into the +0.0 of a fold from zero,
     # and leaves every other value unchanged.
-    return float(np.add.accumulate(np.multiply(a, b))[-1]) + 0.0
+    return float(_accumulate(_multiply(a, b))[-1]) + 0.0
 
 
 def gen_spd_diag_dominant(n: int, seed: int) -> np.ndarray:

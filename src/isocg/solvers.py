@@ -171,9 +171,10 @@ def _solve(
             products += 1
             if injector is not None and not reliable:
                 w, new_events = injector.inject(w)
-                for e in new_events:
-                    e.iteration = k
-                events.extend(new_events)
+                if new_events:
+                    for e in new_events:
+                        e.iteration = k
+                    events.extend(new_events)
             denom = dot(p, w)
             if denom == 0.0 or not math.isfinite(denom):
                 raise diverged(

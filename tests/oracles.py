@@ -130,3 +130,50 @@ def true_relative_residual(a, x, b) -> float:
     a = np.asarray(a, dtype=float)
     r = np.asarray(b, dtype=float) - a @ np.asarray(x, dtype=float)
     return float(np.linalg.norm(r) / np.linalg.norm(b))
+
+
+class ReferenceInjector:
+    """The fault injector drawn through numpy's ``Generator`` methods.
+
+    Same policy and output as :class:`isocg.FaultInjector`, with every draw
+    made by ``default_rng(seed)``: ``random()`` for the rate test,
+    ``integers(0, n)`` for the element, and ``integers(0, k)`` for one flip or
+    ``choice(k, flips, replace=False)`` for several.  The package derives the
+    same draws from PCG64's raw outputs; this is what it must equal.
+    """
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.rng = np.random.default_rng(policy.seed)
+        self.call_index = 0
+
+    def _draw_positions(self, domain, count):
+        if count == 1:
+            return [domain[int(self.rng.integers(0, len(domain)))]]
+        picks = self.rng.choice(len(domain), size=count, replace=False)
+        return [domain[int(i)] for i in picks]
+
+    def inject(self, v):
+        from isocg.faults import _MAX_REDRAWS, BIT_DOMAINS, FaultEvent
+
+        vec = np.asarray(v, dtype=np.float64)
+        self.call_index += 1
+        if self.rng.random() >= self.policy.rate:
+            return vec, []
+        out = vec.copy()
+        idx = int(self.rng.integers(0, out.size))
+        before = pack_double(out[idx])
+        domain = BIT_DOMAINS[self.policy.bit_domain]
+        count = self.policy.flips_per_event
+        for attempt in range(_MAX_REDRAWS + 2):
+            if attempt == _MAX_REDRAWS + 1:
+                domain = BIT_DOMAINS["sign_mantissa"]
+                count = min(count, len(domain))
+            positions = self._draw_positions(domain, count)
+            after = before
+            for p in positions:
+                after ^= 1 << p
+            if self.policy.allow_nonfinite or math.isfinite(unpack_double(after)):
+                break
+        out[idx] = unpack_double(after)
+        return out, [FaultEvent(self.call_index, idx, sorted(positions), before, after)]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -255,14 +256,97 @@ class TestStreamDigest:
         assert self._digest() == self.PINNED
 
 
+class TestRawStreamEquivalence:
+    """The injector's draws from raw PCG64 outputs equal numpy's ``Generator`` methods.
+
+    Each injector runs beside ``oracles.ReferenceInjector``, which draws with
+    ``random()``, ``integers`` and ``choice``, and the first call whose output
+    bits or events differ is named.
+    """
+
+    SPECIALS = [0.0, -0.0, 5e-324, 2.0**-1022, 1.7976931348623157e308, -1e300]
+
+    @staticmethod
+    def _compare(label, inj, ref, v, calls):
+        """Run ``inj`` and ``ref`` side by side and return the injector's events."""
+        got = want = v
+        events = []
+        for call in range(1, calls + 1):
+            # Each output is fed back in, so later draws see earlier faults.
+            got, got_events = inj.inject(got)
+            want, want_events = ref.inject(want)
+            assert got.tobytes() == want.tobytes(), f"{label}: output of call {call} differs"
+            assert events_to_jsonl(got_events) == events_to_jsonl(want_events), (
+                f"{label}: events of call {call} differ")
+            events += got_events
+        return events
+
+    def test_every_domain_flip_count_rate_and_size(self):
+        r = random.Random(0)
+        fallbacks = 0
+        for domain in sorted(BIT_DOMAINS):
+            for flips in range(1, min(12, len(BIT_DOMAINS[domain])) + 1):
+                for allow in (False, True):
+                    for rate in (0.0, 0.05, 0.5, 1.0):
+                        for n in (1, 2, 7, 64, 513):
+                            policy = FaultPolicy(rate=rate, flips_per_event=flips,
+                                                 bit_domain=domain, seed=r.randrange(2**32),
+                                                 allow_nonfinite=allow)
+                            v = np.array([r.choice(self.SPECIALS) if r.random() < 0.5
+                                          else r.gauss(0.0, 1e3) for _ in range(n)])
+                            label = f"{domain} x{flips} allow={allow} rate={rate} n={n}"
+                            events = self._compare(label, FaultInjector(policy),
+                                                   oracles.ReferenceInjector(policy), v,
+                                                   r.randint(1, 6))
+                            fallbacks += sum(e.bit_positions[0] < 52 for e in events
+                                             if domain == "exponent")
+        # Eleven exponent flips of a zero always overflow and fall back to sign/mantissa.
+        assert fallbacks > 0
+
+    def test_long_run_crosses_refills_with_a_kept_half(self):
+        class Recording:
+            """PCG64 that counts block refills and those made while a 32-bit half is kept."""
+
+            def __init__(self, inj):
+                self.inj, self.bitgen, self.refills, self.kept = inj, inj._bitgen, 0, 0
+
+            def random_raw(self, size):
+                self.refills += 1
+                self.kept += self.inj._half is not None
+                return self.bitgen.random_raw(size)
+
+        # One element takes no draw, so an event takes three 32-bit halves
+        # (two picks and a swap) and every other call leaves a half kept.
+        policy = FaultPolicy(rate=1.0, flips_per_event=2, bit_domain="exponent", seed=3)
+        inj = FaultInjector(policy)
+        inj._bitgen = recording = Recording(inj)
+        events = self._compare("exponent x2", inj, oracles.ReferenceInjector(policy),
+                               np.array([1.5]), 1200)
+        assert len(events) == 1200
+        assert recording.refills >= 5 and recording.kept >= 1
+
+    def test_bounded_draw_rejects_as_numpy_does(self):
+        # A solve's counts are far too small for Lemire's rejection to fire;
+        # near 2**31 about half the 32-bit draws are rejected.
+        r = random.Random(0)
+        inj = FaultInjector(FaultPolicy(rate=0.5, seed=5))
+        rng = np.random.default_rng(5)
+        for step in range(2000):
+            n = r.choice([1, 3, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+            assert inj._below(n) == int(rng.integers(0, n)), f"draw {step} in [0, {n})"
+            if step % 3 == 0:
+                assert (inj._raw() >> 11) * 2.0**-53 == rng.random()
+
+
 class TestOneDrawEquivalence:
     """One bounded draw from [0, k) is the same via ``integers`` and ``choice``.
 
-    The injector draws one flip position with ``rng.integers(0, k)`` and
-    several with ``choice``, so a one-flip stream must not depend on which
-    of the two drew it.  This holds them to the same value and the same
-    generator state, interleaved with the injector's other draws; a numpy
-    release that breaks the equivalence fails here.
+    The reference injector, ``oracles.ReferenceInjector``, draws one flip
+    position with ``rng.integers(0, k)`` and several with ``choice``, so its
+    one-flip stream must not depend on which of the two drew it.  This holds
+    them to the same value and the same generator state, interleaved with the
+    reference's other draws; a numpy release that breaks the equivalence
+    fails here.
     """
 
     @pytest.mark.parametrize("seed", range(40))
