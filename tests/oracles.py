@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from isocg.faults import _MAX_REDRAWS, BIT_DOMAINS, FaultEvent
+
 
 def left_fold_dot(u, v) -> float:
     """Inner product accumulated strictly left to right in Python floats."""
@@ -154,8 +156,6 @@ class ReferenceInjector:
         return [domain[int(i)] for i in picks]
 
     def inject(self, v):
-        from isocg.faults import _MAX_REDRAWS, BIT_DOMAINS, FaultEvent
-
         vec = np.asarray(v, dtype=np.float64)
         self.call_index += 1
         if self.rng.random() >= self.policy.rate:
