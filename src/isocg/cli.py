@@ -21,7 +21,6 @@ import math
 import os
 import signal
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -207,20 +206,24 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
-def _parse_address(value: str, parser, form: str, *, bare: bool):
-    """The machine name and typed fields of ``value`` written in ``form``, e.g.
-    ``machine:cores:freq``.  With ``bare``, a lone name is also accepted and
-    gives ``None`` for every field."""
-    name, *parts = value.split(":")
+def _address(form: str, *, bare: bool):
+    """An argparse type: a machine address in ``form``, e.g. ``machine:cores:freq``, as its
+    name and typed fields.  With ``bare``, a lone name gives ``None`` for every field."""
     fields = form.split(":")[1:]
-    if bare and not parts:
-        return (name, *(None for _ in fields))
-    if len(parts) != len(fields):
-        parser.error(f"expected {'machine or ' if bare else ''}{form}, got {value!r}")
-    try:
-        return (name, *(_ADDRESS_FIELDS[f](part) for f, part in zip(fields, parts)))
-    except ValueError:
-        parser.error(f"bad {'/'.join(fields)} in {value!r}")
+
+    def parse(value: str):
+        name, *parts = value.split(":")
+        if bare and not parts:
+            return (name, *(None for _ in fields))
+        if len(parts) != len(fields):
+            raise argparse.ArgumentTypeError(
+                f"expected {'machine or ' if bare else ''}{form}, got {value!r}")
+        try:
+            return (name, *(_ADDRESS_FIELDS[f](part) for f, part in zip(fields, parts)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {'/'.join(fields)} in {value!r}") from None
+
+    return parse
 
 
 def _print_iso_report(report: iso_mod.IsoReport) -> None:
@@ -241,18 +244,15 @@ def _emit_iso_csv(report: iso_mod.IsoReport) -> None:
                                     for col in _ISO_CSV_COLUMNS[1:]]))
 
 
-def _match_args(args, problem_class: str, *, bare: bool):
+def _match_args(args, problem_class: str):
     """``--ref`` and ``--target`` looked up in the data set, as the operating
     points (``None`` for a bare name) and LLC sizes :func:`iso.match` takes."""
     try:
-        sset = load_sampleset(Path(args.data) if args.data else default_data_dir())
+        sset = load_sampleset(args.data or default_data_dir())
     except OSError as exc:
         raise _CliError(EXIT_NOINPUT, f"cannot read data set: {exc}") from exc
-    ref_name, cores, ref_freq = _parse_address(args.ref, args.parser, "machine:cores:freq",
-                                               bare=bare)
-    tgt_name, tgt_freq = _parse_address(args.target, args.parser, "machine:freq", bare=bare)
-    ref_spec = sset.spec(ref_name)
-    tgt_spec = sset.spec(tgt_name)
+    (ref_name, cores, ref_freq), (tgt_name, tgt_freq) = args.ref, args.target
+    ref_spec, tgt_spec = sset.spec(ref_name), sset.spec(tgt_name)
     ref = None if ref_freq is None else sset.sample(ref_name, cores, ref_freq, problem_class)
     target = None
     if tgt_freq is not None:
@@ -261,27 +261,15 @@ def _match_args(args, problem_class: str, *, bare: bool):
     return ref, target, llc
 
 
-def _ss_fraction(args) -> float:
-    """The reliable share alpha: ``--ss-fraction``, in (0, 1), or the model's default."""
-    if args.ss_fraction is None:
-        return iso_mod.HybridSystem.ss_fraction
-    if not 0.0 < args.ss_fraction < 1.0:
-        args.parser.error(f"--ss-fraction must lie in (0, 1), got {args.ss_fraction}")
-    return args.ss_fraction
-
-
 def _cmd_iso(args) -> int:
-    parser = args.parser
     if args.ss_fraction is not None and not args.hybrid:
-        parser.error("--ss-fraction requires --hybrid")
-    alpha = _ss_fraction(args) if args.hybrid else 0.0
-    ref, target, llc = _match_args(args, args.problem_class, bare=True)
+        args.parser.error("--ss-fraction requires --hybrid")
+    alpha = (args.ss_fraction or iso_mod.HybridSystem.ss_fraction) if args.hybrid else 0.0
+    ref, target, llc = _match_args(args, args.problem_class)
     # Only the plain capacity query can do without operating points.
-    if ref is None or target is None:
-        if args.hybrid:
-            parser.error("--hybrid requires --ref machine:cores:freq and --target machine:freq")
-        if args.mode != "capacity":
-            parser.error("--mode perf/power requires --ref machine:cores:freq and --target machine:freq")
+    if (ref is None or target is None) and (args.hybrid or args.mode != "capacity"):
+        flag = "--hybrid" if args.hybrid else "--mode perf/power"
+        args.parser.error(f"{flag} requires --ref machine:cores:freq and --target machine:freq")
     report = iso_mod.match(_MODE_FLAGS[args.mode], ref, target, **llc, ss_fraction=alpha)
     if args.json:
         _emit_json(dataclasses.asdict(report))
@@ -319,6 +307,17 @@ def _parse_degradation(value: str) -> list[float]:
     return out
 
 
+def _fraction(value: str) -> float:
+    """The reliable share alpha, which must lie in (0, 1)."""
+    try:
+        alpha = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value!r}")
+    return alpha
+
+
 def _seed(value: str) -> int:
     """A seed for numpy's generators, which take non-negative integers only."""
     try:
@@ -331,15 +330,14 @@ def _seed(value: str) -> int:
 
 
 def _cmd_ets(args) -> int:
-    alpha = _ss_fraction(args)
     _check_size(args)
-    ref_sample, tgt_sample, llc = _match_args(args, "on_chip", bare=False)
+    ref_sample, tgt_sample, llc = _match_args(args, "on_chip")
     # Work for the modelled problem: a fault-free solve fixes the iteration count.
     a, b = _build_problem(args)
     _, solve_report = cg_solve(a, b, SolveConfig())
     report, breakeven, curve = iso_mod.ets_analysis(
         _MODE_FLAGS[args.mode.removeprefix("iso-")], ref_sample, tgt_sample, args.degradation,
-        solve_report.flops, **llc, ss_fraction=alpha,
+        solve_report.flops, **llc, ss_fraction=args.ss_fraction,
     )
 
     if args.json:
@@ -400,49 +398,50 @@ def build_parser() -> _Parser:
 
     solve = subs.add_parser("solve", help="run plain CG")
     _add_solve_flags(solve, ss=False)
-    solve.set_defaults(func=_cmd_solve)
+    solve.set_defaults(func=_cmd_solve, parser=solve)
 
     solve_ss = subs.add_parser("solve-ss", help="run self-stabilizing CG with fault injection")
     _add_solve_flags(solve_ss, ss=True)
-    solve_ss.set_defaults(func=_cmd_solve)
+    solve_ss.set_defaults(func=_cmd_solve, parser=solve_ss)
 
     iso = subs.add_parser("iso", help="iso-metric cluster matching")
     iso.add_argument("--mode", choices=list(_MODE_FLAGS), required=True)
-    iso.add_argument("--ref", required=True, help="reference, machine[:cores:freq]")
-    iso.add_argument("--target", required=True, help="target cluster, machine[:freq]")
+    iso.add_argument("--ref", type=_address("machine:cores:freq", bare=True), required=True,
+                     help="reference, machine[:cores:freq]")
+    iso.add_argument("--target", type=_address("machine:freq", bare=True), required=True,
+                     help="target cluster, machine[:freq]")
     iso.add_argument("--data", default=None, help="samples.csv or data directory")
     iso.add_argument("--problem-class", choices=list(PROBLEM_CLASSES), default="on_chip")
     iso.add_argument("--hybrid", action="store_true",
                      help="compose reliable ref cluster + n unreliable target clusters")
-    iso.add_argument("--ss-fraction", type=float, default=None,
+    iso.add_argument("--ss-fraction", type=_fraction, default=None,
                      help="fraction of work on the reliable cluster "
                           f"(default {iso_mod.HybridSystem.ss_fraction})")
     fmt = iso.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
-    iso.set_defaults(func=_cmd_iso)
+    iso.set_defaults(func=_cmd_iso, parser=iso)
 
     ets = subs.add_parser("ets", help="energy-to-solution vs degradation")
-    ets.add_argument("--mode", choices=[f"iso-{flag}" for flag in _MODE_FLAGS],
-                     default="iso-perf")
+    ets.add_argument("--mode", choices=[f"iso-{flag}" for flag in _MODE_FLAGS], default="iso-perf")
     ets.add_argument("--degradation", type=_parse_degradation, default=_parse_degradation("0:400:10"),
                      help="percent range start:stop:step (default 0:400:10)")
     ets.add_argument("--data", default=None, help="samples.csv or data directory")
-    ets.add_argument("--ref", default="a15:4:1.6", help="reliable reference, machine:cores:freq")
-    ets.add_argument("--target", default="a7:0.5", help="unreliable cluster, machine:freq")
-    ets.add_argument("--ss-fraction", type=float, default=None)
+    ets.add_argument("--ref", type=_address("machine:cores:freq", bare=False), default="a15:4:1.6",
+                     help="reliable reference, machine:cores:freq")
+    ets.add_argument("--target", type=_address("machine:freq", bare=False), default="a7:0.5",
+                     help="unreliable cluster, machine:freq")
+    ets.add_argument("--ss-fraction", type=_fraction, default=iso_mod.HybridSystem.ss_fraction)
     ets.add_argument("--size", type=int, default=512, help="modelled problem order (default 512)")
     ets.add_argument("--seed", type=_seed, default=1, help="problem generator seed (default 1)")
     ets.add_argument("--json", action="store_true")
-    ets.set_defaults(func=_cmd_ets, matrix=None)
+    ets.set_defaults(func=_cmd_ets, parser=ets, matrix=None)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.parser = parser
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

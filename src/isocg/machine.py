@@ -337,6 +337,7 @@ def load_sampleset(path) -> SampleSet:
     Given a directory, ``machines.ini`` and ``samples.csv`` inside it are
     read; given a CSV path, the machine file is looked up next to it.
     """
+    os.stat(path)  # a missing path is named as given, not by the machines.ini beside it
     samples_path = Path(path)
     if samples_path.is_dir():
         samples_path /= SAMPLES_FILENAME

@@ -228,14 +228,28 @@ class TestIso:
                  "--hybrid", "--ss-fraction", "1.5"])
         assert excinfo.value.code == 64
 
-    @pytest.mark.parametrize("fraction", ["0", "0.5"])
-    def test_ss_fraction_without_hybrid_is_usage_error(self, capsys, fraction):
+    @pytest.mark.parametrize(
+        "fraction,message",
+        [("0", "isocg iso: error: argument --ss-fraction: must lie in (0, 1), got '0'"),
+         ("0.5", "isocg iso: error: --ss-fraction requires --hybrid")],
+        ids=["0", "0.5"],
+    )
+    def test_ss_fraction_without_hybrid_is_usage_error(self, capsys, fraction, message):
         with pytest.raises(SystemExit) as excinfo:
             run(["iso", "--mode", "perf", "--ref", "xeon:8:2.0", "--target", "a15:1.6",
                  "--ss-fraction", fraction])
         assert excinfo.value.code == 64
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "isocg: error: --ss-fraction requires --hybrid")
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
+    @pytest.mark.parametrize("name", ["missing/", "missing/samples.csv"])
+    def test_missing_data_path_is_named(self, capsys, tmp_path, name):
+        data = f"{tmp_path}/{name}"
+        code, out, err = run_cli(capsys, "iso", "--mode", "capacity", "--ref", "a15",
+                                 "--target", "a7", "--data", data)
+        assert code == 66
+        assert out == ""
+        assert err.startswith("isocg: cannot read data set: ")
+        assert err.endswith(f": {data!r}\n")
 
     def test_data_dir_override(self, capsys, tmp_path, monkeypatch):
         data = load_sampleset(default_data_dir())
@@ -350,8 +364,9 @@ class TestSolveOutputDigest:
     """Exit codes, stdout and stderr of solve and solve-ss, generated and from --matrix
     files good and bad, byte for byte."""
 
-    # sha256 of ``_digest()``, recorded before solve and solve-ss shared one command path.
-    PINNED = "1a15243d08c3472e7f59062475cfd078766b80d917a177d842208d0bb8d6d14e"
+    # sha256 of ``_digest()``, recorded when usage errors found after parsing began to print
+    # the subcommand's usage line; stdout and exit codes match the earlier pin.
+    PINNED = "108c0c2a925358a5272b4326dd39c2060ef737cb406acc3b909af4bed0fdf0ba"
 
     # --matrix fixtures, written into the working directory with "non-utf8.json";
     # "missing.json" is never written.
@@ -430,9 +445,10 @@ class TestMachineAddress:
         "argv,message",
         [
             (["ets", "--size", "16", "--target", "a7:2:0.5"],
-             "expected machine:freq, got 'a7:2:0.5'"),
+             "isocg ets: error: argument --target: expected machine:freq, got 'a7:2:0.5'"),
             (["iso", "--mode", "capacity", "--ref", "a15:0.8", "--target", "a7"],
-             "expected machine or machine:cores:freq, got 'a15:0.8'"),
+             "isocg iso: error: argument --ref: expected machine or machine:cores:freq, "
+             "got 'a15:0.8'"),
         ],
         ids=["ets-target-with-cores", "iso-ref-without-cores"],
     )
@@ -442,8 +458,7 @@ class TestMachineAddress:
         assert excinfo.value.code == 64
         out, err = capsys.readouterr()
         assert out == ""
-        assert [line for line in err.splitlines() if "error" in line] == [
-            f"isocg: error: {message}"]
+        assert [line for line in err.splitlines() if "error" in line] == [message]
 
 
 class TestCliBoundary:
@@ -559,7 +574,6 @@ class TestBadSettings:
             ["solve-ss", "--size", "8", "--flips", "0"],
             ["solve-ss", "--size", "8", "--fault-bits", "sign", "--flips", "2"],
             ["solve-ss", "--size", "8", "--fault-bits", "exponent", "--flips", "12"],
-            ["ets", "--size", "0"],
         ],
         ids=" ".join,
     )
@@ -569,6 +583,35 @@ class TestBadSettings:
         assert result.returncode == 64, result.stderr
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines()[-1].startswith("isocg: ")
+        assert result.stdout == ""
+
+
+class TestUsageErrors:
+    """A usage error found after parsing is reported as argparse reports its own: the
+    subcommand's usage line first and ``isocg <cmd>: error: ...`` last, with exit 64."""
+
+    CASES = [
+        (["iso", "--mode", "perf", "--ref", "xeon:8", "--target", "a7:0.5"],
+         "argument --ref: expected machine or machine:cores:freq, got 'xeon:8'"),
+        # A malformed address is refused before the data set is read.
+        (["iso", "--mode", "perf", "--ref", "xeon:8", "--target", "a7:0.5", "--data", "/nonexistent"],
+         "argument --ref: expected machine or machine:cores:freq, got 'xeon:8'"),
+        (["solve", "--size", "0"], "--size must be >= 1, got 0"),
+        (["iso", "--mode", "perf", "--ref", "xeon:8:2.0", "--target", "a15:1.6",
+          "--ss-fraction", "0.5"], "--ss-fraction requires --hybrid"),
+        (["ets", "--size", "16", "--target", "a7:2:0.5"],
+         "argument --target: expected machine:freq, got 'a7:2:0.5'"),
+        (["ets", "--size", "0"], "--size must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+    def test_exit_64_from_the_subcommand(self, argv, message):
+        result = subprocess.run([sys.executable, "-m", "isocg", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 64, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith(f"usage: isocg {argv[0]} ")
+        assert lines[-1] == f"isocg {argv[0]}: error: {message}"
         assert result.stdout == ""
 
 
