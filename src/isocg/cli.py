@@ -265,11 +265,12 @@ def _cmd_iso(args) -> int:
     if args.ss_fraction is not None and not args.hybrid:
         args.parser.error("--ss-fraction requires --hybrid")
     alpha = (args.ss_fraction or iso_mod.HybridSystem.ss_fraction) if args.hybrid else 0.0
-    ref, target, llc = _match_args(args, args.problem_class)
     # Only the plain capacity query can do without operating points.
-    if (ref is None or target is None) and (args.hybrid or args.mode != "capacity"):
+    bare = args.ref[2] is None or args.target[1] is None
+    if bare and (args.hybrid or args.mode != "capacity"):
         flag = "--hybrid" if args.hybrid else "--mode perf/power"
         args.parser.error(f"{flag} requires --ref machine:cores:freq and --target machine:freq")
+    ref, target, llc = _match_args(args, args.problem_class)
     report = iso_mod.match(_MODE_FLAGS[args.mode], ref, target, **llc, ss_fraction=alpha)
     if args.json:
         _emit_json(dataclasses.asdict(report))

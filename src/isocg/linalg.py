@@ -188,8 +188,6 @@ def gen_spd_spectrum(eigenvalues, seed: int) -> np.ndarray:
     control the condition number directly.
     """
     eigs = as_vector(eigenvalues)
-    if eigs.size < 1:
-        raise InvalidSpectrumError("spectrum must contain at least one eigenvalue")
     if not np.all(np.isfinite(eigs)) or np.any(eigs <= 0.0):
         raise InvalidSpectrumError("all eigenvalues must be finite and > 0")
     rng = np.random.default_rng(seed)

@@ -1,12 +1,13 @@
 """Conjugate Gradient solvers: the plain method and a self-stabilizing variant.
 
-Both solve A x = b for symmetric positive definite A, starting from x = 0
-and stopping when the relative residual ||r|| / ||b|| drops below the
-configured tolerance.  They run one iteration loop under two schedules.
-Plain CG sends every matrix-vector product through the fault injector, if
-one is set.  The self-stabilizing variant periodically rebuilds its state
-from a trustworthy residual so that silent corruption injected into the
-product cannot derail convergence:
+Both solve A x = b for symmetric positive definite A, starting from x = 0 and
+stopping when the relative residual ||r|| / ||b|| drops below the configured
+tolerance.  They run one iteration loop under two schedules, and the loop
+tests convergence once per iteration, after either the recurrence or the
+trusted recompute.  Plain CG sends every matrix-vector product through the
+fault injector, if one is set.  The self-stabilizing variant periodically
+rebuilds its state from a trustworthy residual so that silent corruption
+injected into the product cannot derail convergence:
 
 * every ``ss_period``-th iteration runs fully reliable (no injection) and
   appends a correction, r = b - A x, p = r, after the usual update; this
@@ -134,7 +135,8 @@ def _solve(
     Plain CG (``stabilize`` false) runs every product through the injector.
     Self-stabilizing CG keeps every ``cfg.ss_period``-th product reliable and
     follows it with a correction, and verifies a claimed convergence with a
-    correction before it stops.
+    correction before it stops.  Each iteration tests convergence once, after
+    either the recurrence or the trusted recompute.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     m, rhs = _check_system(a, b)
@@ -158,13 +160,13 @@ def _solve(
     # raises SolverDivergedError on every non-finite scalar it branches on, so
     # numpy's floating-point warnings would only repeat that, on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        bnorm = math.sqrt(dot(rhs, rhs))
+        rho = dot(rhs, rhs)
+        bnorm = math.sqrt(rho)
         if bnorm == 0.0:
             return x, report(True, 0)
 
         # No step updates a vector in place, so r and p may share memory.
         r = p = rhs
-        rho = dot(r, r)
         for k in range(1, max_iter + 1):
             reliable = stabilize and k % cfg.ss_period == 0
             w = gemv(m, p)
@@ -188,25 +190,23 @@ def _solve(
                 if not math.isfinite(rho_new):
                     raise diverged(f"non-finite residual at iteration {k}", k)
                 rel = math.sqrt(rho_new) / bnorm
-                if not (stabilize and rel <= cfg.tol):
-                    hist.append(rel)
-                    if rel <= cfg.tol:
-                        return x, report(True, k)
-                    p = r + (rho_new / rho) * p
-                    rho = rho_new
-                    continue
             # Trusted path, on schedule or to verify a claimed convergence (a
             # corrupted recurrence can claim it while the true residual is large):
             # recompute the residual and restart the direction from it.
-            r = p = rhs - gemv(m, x)
-            products += 1
-            rho = dot(r, r)
-            if reliable and not math.isfinite(rho):
-                raise diverged(f"non-finite state after correction at iteration {k}", k)
-            rel = math.sqrt(rho) / bnorm
+            trusted = reliable or (stabilize and rel <= cfg.tol)
+            if trusted:
+                r = p = rhs - gemv(m, x)
+                products += 1
+                rho = dot(r, r)
+                if reliable and not math.isfinite(rho):
+                    raise diverged(f"non-finite state after correction at iteration {k}", k)
+                rel = math.sqrt(rho) / bnorm
             hist.append(rel)
             if rel <= cfg.tol:
                 return x, report(True, k)
+            if not trusted:
+                p = r + (rho_new / rho) * p
+                rho = rho_new
 
         return x, report(False, max_iter)
 

@@ -323,6 +323,17 @@ class TestEts:
         _, out2, _ = run_cli(capsys, "ets", "--degradation", "0:50:10")
         assert out1 == out2
 
+    def test_no_breakeven_adds_no_row(self, capsys):
+        # An a7 reference draws so little that the xeon hybrid is never cheaper.
+        argv = ["ets", "--ref", "a7:4:0.5", "--target", "xeon:2.0"]
+        doc = run_cli_json(capsys, *argv, "--json")
+        assert doc["breakeven_percent"] is None
+        assert [p["degradation_percent"] for p in doc["points"]] == pytest.approx(
+            [10.0 * i for i in range(41)])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(out.splitlines()) == 42
+
 
 class TestModelOutputDigest:
     """Exit codes and stdout of the iso and ets queries, plain and hybrid, byte for byte."""
@@ -602,6 +613,15 @@ class TestUsageErrors:
         (["ets", "--size", "16", "--target", "a7:2:0.5"],
          "argument --target: expected machine:freq, got 'a7:2:0.5'"),
         (["ets", "--size", "0"], "--size must be >= 1, got 0"),
+        # A bare address where the query needs operating points is also refused
+        # before the data set is read.
+        (["iso", "--mode", "perf", "--ref", "xeon", "--target", "a7", "--data", "/nonexistent"],
+         "--mode perf/power requires --ref machine:cores:freq and --target machine:freq"),
+        (["iso", "--mode", "capacity", "--ref", "a15", "--target", "a7", "--hybrid",
+          "--data", "/nonexistent"],
+         "--hybrid requires --ref machine:cores:freq and --target machine:freq"),
+        (["iso", "--mode", "perf", "--ref", "a15:4:1.6", "--target", "a7:0.5", "--hybrid",
+          "--ss-fraction", "abc"], "argument --ss-fraction: invalid float value: 'abc'"),
     ]
 
     @pytest.mark.parametrize("argv,message", CASES, ids=[" ".join(argv) for argv, _ in CASES])
@@ -690,8 +710,9 @@ class TestSystemFileBeyondLimits:
             ('{"A": [[1%s]]}' % ("0" * 400), "int too large to convert to float"),
             ('{"A": [[2]], "b": [-1%s]}' % ("0" * 400), "int too large to convert to float"),
             ('{"A": %s%s}' % ("[" * 100_000, "]" * 100_000), "maximum recursion depth exceeded"),
+            ('{"A": [[]]}', "matrices must have at least one element"),
         ],
-        ids=["huge-int-in-A", "huge-int-in-b", "deep-nesting"],
+        ids=["huge-int-in-A", "huge-int-in-b", "deep-nesting", "empty-A"],
     )
     def test_exit_65_without_traceback(self, tmp_path, text, message):
         path = tmp_path / "system.json"

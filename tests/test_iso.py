@@ -152,6 +152,12 @@ class TestSolveHybrid:
         with pytest.raises(InfeasibleError):
             solve_hybrid_for_mode(ISO_PERFORMANCE, template, tiny)
 
+    def test_infeasible_when_reliable_share_exceeds_budget(self, bundled_data, a15, a7):
+        xeon = bundled_data.sample("xeon", 8, 2.0)
+        with pytest.raises(InfeasibleError, match=re.escape(
+                "reliable share alone draws 24.95 W, already at or above the 5.49 W budget")):
+            solve_hybrid_for_mode(ISO_POWER, HybridSystem(xeon, a7, 1.0, 0.5), a15)
+
     def test_capacity_requires_llc(self, template):
         with pytest.raises(ValueError):
             solve_hybrid_for_mode(ISO_CAPACITY, template)

@@ -371,3 +371,7 @@ class TestSpectrumGenerator:
         with pytest.raises(InvalidSpectrumError):
             gen_spd_spectrum(bad, 0)
 
+    def test_empty_spectrum(self):
+        with pytest.raises(DimensionMismatchError, match="at least one element"):
+            gen_spd_spectrum([], 0)
+

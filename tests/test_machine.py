@@ -171,6 +171,12 @@ class TestSampleSet:
         with pytest.raises(SampleSetError):
             sset.add_sample(sample())
 
+    def test_duplicate_spec_rejected(self):
+        sset = SampleSet()
+        sset.add_spec(spec("a7"))
+        with pytest.raises(SampleSetError, match="^duplicate machine spec 'a7'$"):
+            sset.add_spec(spec("a7"))
+
     def test_sample_for_unknown_machine_rejected(self):
         sset = SampleSet()
         with pytest.raises(UnknownMachineError):

@@ -314,7 +314,7 @@ class TestKernelSeams:
         products = report.flops // (2 * n * n)
         assert calls["gemv"] == products
         assert calls["inject"] == k - k // period
-        assert calls["dot"] == 2 + k + products - k // period
+        assert calls["dot"] == 1 + k + products - k // period
 
     @pytest.mark.parametrize("rate", [None, 0.1, 0.5])
     def test_cg_counts(self, calls, rate):
@@ -325,7 +325,7 @@ class TestKernelSeams:
         k = report.iterations
         assert calls["gemv"] == k
         assert calls["inject"] == (0 if rate is None else k)
-        assert calls["dot"] == 2 + 2 * k
+        assert calls["dot"] == 1 + 2 * k
 
 
 class TestUnbufferedScope:
