@@ -416,7 +416,7 @@ def build_parser() -> _Parser:
     iso.add_argument("--hybrid", action="store_true",
                      help="compose reliable ref cluster + n unreliable target clusters")
     iso.add_argument("--ss-fraction", type=_fraction, default=None,
-                     help="fraction of work on the reliable cluster "
+                     help="share of time on the reliable cluster "
                           f"(default {iso_mod.HybridSystem.ss_fraction})")
     fmt = iso.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")

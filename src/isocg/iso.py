@@ -6,9 +6,9 @@ or aggregate last-level cache (iso-capacity); what a hybrid of one
 reliable cluster plus n unreliable clusters delivers; and at what
 convergence degradation the hybrid stops being cheaper in Joules.
 
-The hybrid model is work-weighted: with a fraction ``alpha`` of the
-iterations running on the reliable cluster and the rest spread over the
-n unreliable clusters,
+The hybrid model is time-weighted: the reliable cluster runs a share
+``alpha`` of the time (a typed alpha, such as the paper's 0.1, is read so),
+the n unreliable clusters run the rest, and an idle cluster draws nothing:
 
     G(n) = alpha * G_rel + (1 - alpha) * n * G_unrel
     P(n) = alpha * P_rel + (1 - alpha) * n * P_unrel
@@ -21,6 +21,7 @@ and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -87,8 +88,8 @@ class HybridSystem:
     """One reliable cluster plus ``n_unreliable`` unreliable clusters.
 
     ``reliable``/``unreliable`` are per-cluster operating points; the
-    reliable side executes the stabilizing fraction ``ss_fraction`` of the
-    iterations, in [0, 1); at 0 the unreliable clusters do all the work.
+    reliable side runs the share ``ss_fraction`` of the time, in [0, 1); at
+    0 the unreliable clusters do all the work.
     Fractional cluster counts are first-class; rounding is an explicit,
     separate step.
     """
@@ -129,6 +130,12 @@ class IsoReport:
     achieved_watts: float | None = None
     ratios: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Operating points near the ends of the float64 range can over- or underflow a figure.
+        for name, value in {**vars(self), **self.ratios}.items():
+            if isinstance(value, float) and not 0.0 < value < math.inf:
+                raise InfeasibleError(f"{self.mode}: {name} {value} is outside the float64 range")
+
 
 def solve_hybrid_for_mode(
     mode: str,
@@ -144,7 +151,7 @@ def solve_hybrid_for_mode(
     ``ref``'s GFLOPS or watts, n = (target - alpha * rel) / ((1 - alpha) * unrel);
     iso_capacity divides the LLC byte counts.  ``template.n_unreliable`` is
     ignored.  Raises :class:`InfeasibleError` when the reliable share alone
-    already meets the target.
+    already meets the target or a figure leaves the float64 range.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -164,7 +171,8 @@ def solve_hybrid_for_mode(
                 f"reliable share alone delivers {alpha * g_rel} GFLOPS, "
                 f"already at or above the {ref.gflops} GFLOPS target"
             )
-        n = surplus / ((1.0 - alpha) * g_unrel)
+        per_cluster = (1.0 - alpha) * g_unrel
+        n = surplus / per_cluster if per_cluster else math.inf
     else:
         surplus = ref.watts - alpha * p_rel
         if surplus <= 0:
@@ -172,11 +180,16 @@ def solve_hybrid_for_mode(
                 f"reliable share alone draws {alpha * p_rel} W, "
                 f"already at or above the {ref.watts} W budget"
             )
-        n = surplus / ((1.0 - alpha) * p_unrel)
+        per_cluster = (1.0 - alpha) * p_unrel
+        n = surplus / per_cluster if per_cluster else math.inf
 
+    if n == 0.0:  # an underflow, which HybridSystem would refuse as a bad argument
+        raise InfeasibleError(f"{mode}: cluster_count {n} is outside the float64 range")
     h = template.with_clusters(n)
     g = hybrid_gflops(h)
     p = hybrid_watts(h)
+    if g == 0.0 or p == 0.0:  # underflows, which the ratios below would divide by
+        raise InfeasibleError(f"{mode}: achieved {g} GFLOPS at {p} W is outside the float64 range")
     ratios = {
         "perf_vs_ref": g / ref.gflops,
         "power_vs_ref": p / ref.watts,
@@ -199,7 +212,7 @@ def match(
     """How many ``target`` clusters match ``ref`` in ``mode``.
 
     With ``ss_fraction`` alpha > 0 the clusters run beside a reliable
-    cluster at ``ref``'s operating point that does alpha of the work; at 0
+    cluster at ``ref``'s operating point that runs alpha of the time; at 0
     they stand alone.  Both are :func:`solve_hybrid_for_mode` on a
     :class:`HybridSystem` of ``ref`` and ``target``.  Only the plain
     iso_capacity query may lack an operating point (``None``): it then

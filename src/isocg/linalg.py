@@ -14,11 +14,9 @@ innermost and walks the summed axis ``j`` outermost, in order, so each step
 is ``out[i] = out[i] + cols[j, i] * x[j]`` for j = 0..n-1: every row of A
 gets the same left fold over its columns as a plain loop, from +0.0, with
 the multiply and the add rounded separately (numpy's sum-of-products loops
-are built without fused multiply-add).  A single-row A would be reduced
-along its contiguous axis, which numpy sums pairwise, so a single-row
-product goes through ``dot`` instead.  An exactly symmetric A is its own
-transpose and is used without a copy; the solvers prepare A once per
-solve, not once per product.
+are built without fused multiply-add).  A must be square.  An exactly
+symmetric A is its own transpose and is used without a copy; the solvers
+prepare A once per solve, not once per product.
 """
 
 from __future__ import annotations
@@ -67,17 +65,12 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def as_matrix(a) -> np.ndarray:
+def as_square_matrix(a) -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
     if m.size == 0:
         raise DimensionMismatchError("matrices must have at least one element")
-    return m
-
-
-def as_square_matrix(a) -> np.ndarray:
-    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -92,14 +85,12 @@ def _upper_tiles(n: int):
 
 def _is_symmetric(m: np.ndarray) -> bool:
     """Bitwise symmetry, checked tile by tile; stops at the first tile that differs."""
-    if m.shape[0] != m.shape[1]:
-        return False
     bits = m.view(np.uint64)
     return all(np.array_equal(bits[r, c], bits[c, r].T) for r, c in _upper_tiles(m.shape[0]))
 
 
 class PreparedMatrix:
-    """A matrix laid out for :func:`gemv`: ``cols`` holds Aᵀ, C-contiguous.
+    """A square matrix laid out for :func:`gemv`: ``cols`` holds Aᵀ, C-contiguous.
 
     Row j of ``cols`` is column j of A.  An exactly symmetric C-contiguous
     float64 A is its own ``cols`` and is not copied, so the layout may share
@@ -113,7 +104,7 @@ class PreparedMatrix:
         if isinstance(a, PreparedMatrix):
             self.cols = a.cols
             return
-        m = as_matrix(a)
+        m = as_square_matrix(a)
         self.cols = m if _is_symmetric(m) else m.T.copy()
 
     @property
@@ -124,7 +115,7 @@ class PreparedMatrix:
 def gemv(a, v) -> np.ndarray:
     """Matrix-vector product with left-to-right row accumulation.
 
-    ``a`` is a :class:`PreparedMatrix` or anything :func:`as_matrix`
+    ``a`` is a :class:`PreparedMatrix` or anything :func:`as_square_matrix`
     accepts.  A plain matrix is prepared on every call, so callers that
     multiply by the same A repeatedly should prepare it once.
     """
@@ -135,10 +126,6 @@ def gemv(a, v) -> np.ndarray:
         raise DimensionMismatchError(
             f"gemv: matrix has {cols.shape[0]} columns but vector has length {x.size}"
         )
-    if cols.shape[1] == 1:
-        # One row is one inner product.  einsum would reduce a one-row A along
-        # its contiguous axis, which numpy sums pairwise.
-        return np.array([dot(cols[:, 0], x)])
     return np.einsum("ji,j->i", cols, x)
 
 

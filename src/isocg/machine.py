@@ -78,8 +78,8 @@ class MachineSpec:
             raise ValueError("frequencies must be positive")
         if self.freq_min_ghz > self.freq_max_ghz:
             raise ValueError("freq_min_ghz exceeds freq_max_ghz")
-        if self.llc_bytes <= 0:
-            raise ValueError("llc_bytes must be positive")
+        if not 0 < self.llc_bytes <= float(np.finfo(np.float64).max):
+            raise ValueError("llc_bytes must be positive and within the float64 range")
         if self.stream_bandwidth_gbs <= 0:
             raise ValueError("stream_bandwidth_gbs must be positive")
 

@@ -77,18 +77,6 @@ class SolveReport:
     rng_algorithm: str | None = None
 
 
-def _check_system(a, b) -> tuple[PreparedMatrix, np.ndarray]:
-    m = PreparedMatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    v = as_vector(b)
-    if v.size != m.shape[0]:
-        raise DimensionMismatchError(
-            f"right-hand side has length {v.size}, matrix is {m.shape[0]}x{m.shape[0]}"
-        )
-    return m, v
-
-
 def load_system(path) -> tuple[PreparedMatrix, np.ndarray]:
     """A x = b from a JSON file with fields ``A`` (square, symmetric) and optional ``b``
     (default A times ones).  Bad content raises :class:`IsocgError`; ``OSError`` passes through."""
@@ -139,8 +127,12 @@ def _solve(
     either the recurrence or the trusted recompute.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    m, rhs = _check_system(a, b)
+    m, rhs = PreparedMatrix(a), as_vector(b)
     n = rhs.size
+    if n != m.shape[0]:
+        raise DimensionMismatchError(
+            f"right-hand side has length {n}, matrix is {m.shape[0]}x{m.shape[0]}"
+        )
     max_iter = cfg.max_iter if cfg.max_iter is not None else _MAX_ITER_FACTOR * n
     if injector is None and cfg.fault_policy is not None:
         injector = FaultInjector(cfg.fault_policy)

@@ -375,9 +375,13 @@ class TestSolveOutputDigest:
     """Exit codes, stdout and stderr of solve and solve-ss, generated and from --matrix
     files good and bad, byte for byte."""
 
-    # sha256 of ``_digest()``, recorded when usage errors found after parsing began to print
-    # the subcommand's usage line; stdout and exit codes match the earlier pin.
-    PINNED = "108c0c2a925358a5272b4326dd39c2060ef737cb406acc3b909af4bed0fdf0ba"
+    # sha256 of ``_digest(command)`` per command, split at b2b48d1 from one digest of both
+    # that was recorded when usage errors found after parsing began to print the
+    # subcommand's usage line; stdout and exit codes match the earlier pin.
+    PINNED = {
+        "solve": "7205a839eea34675a25b139f0c40d4efe4b26d229167517ace2f403f5be477ce",
+        "solve-ss": "59bb295f800917e3e23e79ad15ebb58d81cb45f973fa8f7809848b3fb9a44728",
+    }
 
     # --matrix fixtures, written into the working directory with "non-utf8.json";
     # "missing.json" is never written.
@@ -428,9 +432,11 @@ class TestSolveOutputDigest:
                    "--flips", "3", "--ss-period", "50", *fmt]
 
     @staticmethod
-    def _digest():
+    def _digest(command):
         h = hashlib.sha256()
         for argv in TestSolveOutputDigest._argvs():
+            if argv[0] != command:
+                continue
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
@@ -445,7 +451,7 @@ class TestSolveOutputDigest:
         for name, text in self.SYSTEMS.items():
             (tmp_path / name).write_text(text)
         (tmp_path / "non-utf8.json").write_bytes(b'\xff{"A": [[2]]}')
-        assert self._digest() == self.PINNED
+        assert {command: self._digest(command) for command in ("solve", "solve-ss")} == self.PINNED
 
 
 class TestMachineAddress:
@@ -782,6 +788,52 @@ class TestNonFiniteDataSet:
         assert err.endswith("must be finite\n")
 
 
+class TestExtremeOperatingPoints:
+    """Finite operating points whose cluster count or achieved figures leave the float64
+    range are infeasible (65), on one line, not a NaN, an Infinity or a traceback."""
+
+    TINY_TARGET = [("samples.csv", "a7,4,0.5,on_chip,0.38,", "a7,4,0.5,on_chip,1e-310,")]
+    # The a15 reference at 1e-300 GFLOPS and W, the a7 target at 1e300: the count underflows.
+    FAR_APART = [("samples.csv", "a15,4,1.6,on_chip,2.1,5.49,", "a15,4,1.6,on_chip,1e-300,1e-300,"),
+                 ("samples.csv", "a7,4,0.5,on_chip,0.38,0.1413,", "a7,4,0.5,on_chip,1e300,1e300,")]
+    # An a7 LLC of 1e308 bytes makes the count against the xeon 2.1e-301, and 1e-30 GFLOPS
+    # per cluster then underflows to 0.
+    HUGE_LLC = [("machines.ini", "llc_bytes = 524288\n", "llc_bytes = 1" + "0" * 308 + "\n"),
+                ("samples.csv", "a7,4,0.5,on_chip,0.38,", "a7,4,0.5,on_chip,1e-30,")]
+
+    @pytest.mark.parametrize(
+        ("edits", "argv", "message"),
+        [
+            (TINY_TARGET, ["iso", "--mode", "perf", "--ref", "xeon:8:2.0", "--target", "a7:0.5",
+                           "--json"], "iso_performance: cluster_count inf"),
+            (TINY_TARGET, ["ets", "--size", "16"], "iso_performance: cluster_count inf"),
+            (TINY_TARGET, ["iso", "--mode", "power", "--ref", "xeon:8:2.0", "--target", "a7:0.5",
+                           "--json"], "iso_power: ref_perf_vs_target inf"),
+            (TINY_TARGET, ["iso", "--mode", "perf", "--ref", "xeon:8:2.0", "--target", "a7:0.5",
+                           "--hybrid", "--ss-fraction", "0.9999999999999999"],
+             "iso_performance: cluster_count inf"),
+            (FAR_APART, _ISO_PERF, "iso_performance: cluster_count 0.0"),
+            (FAR_APART, ["ets", "--size", "16"], "iso_performance: cluster_count 0.0"),
+            (HUGE_LLC, ["iso", "--mode", "capacity", "--ref", "xeon:8:2.0", "--target", "a7:0.5"],
+             "iso_capacity: achieved 0.0 GFLOPS at 2.963275776e-302 W"),
+        ],
+        ids=["tiny-target-iso-perf", "tiny-target-ets", "tiny-target-iso-power",
+             "tiny-target-alpha-near-one", "far-apart-iso-perf", "far-apart-ets",
+             "huge-llc-iso-capacity"],
+    )
+    def test_exit_65_on_one_line(self, capsys, tmp_path, edits, argv, message):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        for name, old, new in edits:
+            path = tmp_path / name
+            text = path.read_text()
+            assert text.count(old) == 1
+            path.write_text(text.replace(old, new))
+        code, out, err = run_cli(capsys, *argv, "--data", str(tmp_path))
+        assert code == 65
+        assert out == ""
+        assert err == f"isocg: {message} is outside the float64 range\n"
+
+
 class TestDataSetFieldErrors:
     """A data-set field that is missing, unreadable or over-long is bad data (65), on one line."""
 
@@ -795,8 +847,11 @@ class TestDataSetFieldErrors:
             ("machines.ini", "llc_bytes = 2097152\n", "", "machine 'a15': missing llc_bytes"),
             ("machines.ini", "stream_bandwidth_gbs = 5.4", "stream_bandwidth_gbs = nan",
              "machine 'a15': frequencies and stream_bandwidth_gbs must be finite"),
+            ("machines.ini", "llc_bytes = 2097152\n", "llc_bytes = 1" + "0" * 400 + "\n",
+             "machine 'a15': llc_bytes must be positive and within the float64 range"),
         ],
-        ids=["long-csv-field", "percent-value", "missing-key", "non-finite-value"],
+        ids=["long-csv-field", "percent-value", "missing-key", "non-finite-value",
+             "llc-beyond-float64"],
     )
     def test_exit_65_without_traceback(self, tmp_path, name, old, new, message):
         save_sampleset(load_sampleset(default_data_dir()), tmp_path)

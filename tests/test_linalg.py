@@ -87,14 +87,23 @@ class TestGemv:
         assert np.array_equal(gemv(a, np.zeros(5)), np.zeros(5))
 
     def test_matches_left_fold_bitwise(self, rng):
-        for shape in [(3, 7), (8, 8), (17, 5), (64, 64)]:
+        for shape in [(8, 8), (64, 64)]:
             a = rng.standard_normal(shape)
             v = rng.standard_normal(shape[1])
             assert np.array_equal(gemv(a, v), oracles.left_fold_gemv(a, v))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            gemv(np.eye(3), np.ones(4))
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: gemv(np.eye(3), np.ones(4)), "matrix has 3 columns but vector has length 4"),
+            (lambda: gemv(np.ones((2, 3)), np.ones(3)), r"square matrix, got shape \(2, 3\)"),
+            (lambda: PreparedMatrix(np.ones((1, 5))), r"square matrix, got shape \(1, 5\)"),
+        ],
+        ids=["vector-length", "gemv-2x3", "prepared-1x5"],
+    )
+    def test_dimension_mismatch(self, call, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            call()
 
     @settings(max_examples=50, deadline=None)
     @given(v=arrays(np.float64, st.integers(1, 8), elements=finite_floats))
@@ -116,7 +125,7 @@ class TestGemv:
 
 class TestBlockedGemv:
     @pytest.mark.parametrize(
-        "shape", [(1, 1), (63, 63), (65, 65), (129, 129), (200, 200), (3, 130), (130, 3)]
+        "shape", [(1, 1), (63, 63), (65, 65), (129, 129), (200, 200)]
     )
     def test_block_crossing_shapes_match_left_fold_bitwise(self, rng, shape):
         a = rng.standard_normal(shape)
@@ -126,12 +135,12 @@ class TestBlockedGemv:
     def test_cancelling_row_is_left_folded(self):
         # 1e16 + 1 rounds back to 1e16, so a left fold drops every 1 that follows
         # a 1e16 until -1e16 cancels it; a pairwise sum would keep them.
-        a = np.ones((2, 130))
+        a = np.ones((130, 130))
         a[0, 0] = a[1, 64] = 1e16
-        a[:, -1] = -1e16
+        a[:2, -1] = -1e16
         v = np.ones(130)
         out = gemv(a, v)
-        assert np.array_equal(bits(out), bits([0.0, 64.0]))
+        assert np.array_equal(bits(out[:2]), bits([0.0, 64.0]))
         assert np.array_equal(bits(out), bits(oracles.left_fold_gemv(a, v)))
         assert not np.array_equal(out, a.sum(axis=1))
 
@@ -140,9 +149,9 @@ class TestBlockedGemv:
         assert PreparedMatrix(a).cols is a
 
     def test_nonsymmetric_matrix_is_transposed(self, rng):
-        a = rng.standard_normal((100, 70))
+        a = rng.standard_normal((70, 70))
         prepared = PreparedMatrix(a)
-        assert prepared.shape == (100, 70)
+        assert prepared.shape == (70, 70)
         assert prepared.cols.flags.c_contiguous
         assert np.array_equal(prepared.cols, a.T)
 
@@ -152,21 +161,13 @@ class TestBlockedGemv:
         assert PreparedMatrix(a).cols is not a
         assert np.array_equal(PreparedMatrix(a).cols, a.T)
 
-    @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
-    def test_one_row_or_column_matrix_is_copied(self, rng, shape):
-        # The transpose of such an A is already C-contiguous, so
-        # np.ascontiguousarray(a.T) would return a view of A, not a copy.
-        a = rng.standard_normal(shape)
-        assert not np.shares_memory(PreparedMatrix(a).cols, a)
-
     @pytest.mark.parametrize(
         "make",
         [
             lambda rng: gen_spd_diag_dominant(150, 2),
             lambda rng: gen_spd_spectrum(np.logspace(0, 3, 150), 2),
-            lambda rng: rng.standard_normal((150, 80)),
         ],
-        ids=["symmetric", "spectrum", "rectangular"],
+        ids=["symmetric", "spectrum"],
     )
     def test_prepared_and_plain_forms_agree_bitwise(self, rng, make):
         a = make(rng)
@@ -177,27 +178,11 @@ class TestBlockedGemv:
         assert np.array_equal(bits(gemv(prepared, v)), bits(oracles.left_fold_gemv(a, v)))
 
     @settings(max_examples=8, deadline=None)
-    @given(rows=st.integers(1, 300), cols=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-    def test_random_shapes_match_left_fold_bitwise(self, rows, cols, seed):
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_random_shapes_match_left_fold_bitwise(self, n, seed):
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((rows, cols))
-        v = rng.standard_normal(cols)
-        assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
-
-    @pytest.mark.parametrize("cols", [9, 64, 200])
-    def test_single_row_matches_left_fold_bitwise(self, rng, cols):
-        # numpy drops the length-1 axis of a (k, 1) block, so reducing one would
-        # sum pairwise along the fast axis.
-        a = rng.standard_normal((1, cols))
-        v = rng.standard_normal(cols)
-        assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
-
-    def test_single_cancelling_row_is_left_folded(self):
-        a = np.ones((1, 130))
-        a[0, 0] = 1e16
-        a[0, -1] = -1e16
-        v = np.ones(130)
-        assert np.array_equal(bits(gemv(a, v)), bits([0.0]))
+        a = rng.standard_normal((n, n))
+        v = rng.standard_normal(n)
         assert np.array_equal(bits(gemv(a, v)), bits(oracles.left_fold_gemv(a, v)))
 
 
@@ -205,7 +190,7 @@ class TestUnbufferedScope:
     """The product's bits do not depend on numpy's ufunc buffer size."""
 
     @pytest.mark.parametrize(
-        "shape", [(1, 9), (1, 200), (2, 130), (65, 65), (129, 200), (300, 257), (257, 300)]
+        "shape", [(9, 9), (200, 200), (130, 130), (65, 65), (129, 129), (300, 300), (257, 257)]
     )
     def test_same_bits_inside_and_outside(self, rng, shape):
         a = rng.standard_normal(shape)
@@ -223,7 +208,7 @@ class TestUnbufferedScope:
 class TestEinsumContraction:
     """``einsum("ji,j->i")`` over Aᵀ is the left fold: summed axis outermost, no FMA."""
 
-    @pytest.mark.parametrize("shape", [(2, 130), (129, 200), (257, 300)])
+    @pytest.mark.parametrize("shape", [(130, 130), (200, 200), (300, 300)])
     def test_strided_vector_matches_left_fold_bitwise(self, rng, shape):
         a = rng.standard_normal(shape)
         v = np.repeat(rng.standard_normal(shape[1]), 2)[::2]
