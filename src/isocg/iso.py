@@ -242,12 +242,22 @@ class EtsPoint:
     ets_joules: float
 
 
+def _in_range(joules: float) -> float:
+    # A rate or power near the ends of the float64 range can over- or underflow an energy.
+    if not 0.0 < joules < math.inf:
+        raise InfeasibleError(f"energy to solution {joules} J is outside the float64 range")
+    return joules
+
+
 def ets(flops_total: float, gflops: float, watts: float) -> float:
-    """Joules to execute ``flops_total`` at the given rate and power."""
+    """Joules to execute ``flops_total`` at the given rate and power.
+
+    Raises :class:`InfeasibleError` when the energy is not in (0, inf).
+    """
     _positive("flops_total", flops_total)
     _positive("gflops", gflops)
     _positive("watts", watts)
-    return flops_total / (gflops * 1.0e9) * watts
+    return _in_range(flops_total / (gflops * 1.0e9) * watts)
 
 
 def ets_curve(
@@ -260,6 +270,7 @@ def ets_curve(
 
     The reference runs fault-free, so its energy is flat in d; the hybrid
     pays (1 + d) times the iterations at unchanged per-iteration cost.
+    Raises :class:`InfeasibleError` when an energy is not in (0, inf).
     """
     ref_ets = ets(flops_total, ref.gflops, ref.watts)
     base = ets(flops_total, hybrid_gflops(h), hybrid_watts(h))
@@ -267,7 +278,7 @@ def ets_curve(
     for d in degradations:
         if d < 0:
             raise ValueError(f"degradation must be >= 0, got {d}")
-        points.append((EtsPoint(d, ref_ets), EtsPoint(d, base * (1.0 + d))))
+        points.append((EtsPoint(d, ref_ets), EtsPoint(d, _in_range(base * (1.0 + d)))))
     return points
 
 

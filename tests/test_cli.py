@@ -3,7 +3,9 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -504,23 +506,77 @@ class TestPackageExports:
         assert [name for name in isocg.__all__ if not hasattr(isocg, name)] == []
 
 
-class TestImportCost:
-    """``import isocg`` loads only these modules, and they import only these at module level,
-    so a new import shows here rather than as a slower start of every command."""
+class TestLazyNamespace:
+    """The package binds a public name on first use, from the module its table names."""
 
-    MODULES = ("__init__", "errors", "linalg", "faults", "solvers", "machine", "iso")
-    IMPORTS = {"__future__", "collections.abc", "configparser", "csv", "dataclasses", "json",
-               "math", "numpy", "os", "pathlib", "struct", "typing"}
+    def test_name_table_is_the_module_lists(self):
+        library = [m.name for m in pkgutil.iter_modules(isocg.__path__)
+                   if m.name not in ("cli", "__main__")]
+        assert {module: list(names) for module, names in isocg._EXPORTS.items()} == {
+            module: importlib.import_module(f"isocg.{module}").__all__ for module in library}
+        assert isocg.__all__ == ["__version__", *itertools.chain(*isocg._EXPORTS.values())]
+        assert len(isocg.__all__) == len(set(isocg.__all__))
 
-    def test_import_isocg_loads_the_listed_modules(self):
+    def test_every_name_is_its_module_attribute(self):
+        for module, names in isocg._EXPORTS.items():
+            for name in names:
+                assert getattr(isocg, name) is getattr(getattr(isocg, module), name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from isocg import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(isocg.__all__)
+        assert len(isocg.__all__) == 61
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError) as excinfo:
+            isocg.nonexistent
+        assert str(excinfo.value) == "module 'isocg' has no attribute 'nonexistent'"
+
+    def test_dir_lists_every_name_and_submodule(self):
+        assert {*isocg.__all__, *isocg._EXPORTS} <= set(dir(isocg))
+
+    def test_submodule_after_bare_import(self):
         result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, isocg; print(*sorted(m for m in sys.modules if m.startswith('isocg')))"],
+            [sys.executable, "-c", "import isocg\nprint(isocg.linalg.gemv is isocg.gemv)"],
             capture_output=True, text=True, check=True,
         )
+        assert result.stdout == "True\n"
+
+
+class TestImportCost:
+    """``import isocg`` loads only the package, each public name only its own module, and the
+    modules import only these at module level, so a new import shows here rather than as a
+    slower start of every command."""
+
+    MODULES = ("__init__", "errors", "linalg", "faults", "solvers", "machine", "iso")
+    IMPORTS = {"__future__", "collections.abc", "configparser", "csv", "dataclasses",
+               "importlib", "json", "math", "numpy", "os", "pathlib", "struct", "typing"}
+
+    @staticmethod
+    def loaded(code):
+        """The package modules a fresh interpreter holds after ``code``, and whether numpy."""
+        result = subprocess.run(
+            [sys.executable, "-c",
+             f"{code}\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('isocg')))\n"
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        modules, numpy = result.stdout.splitlines()
         names = {name.removeprefix("isocg").removeprefix(".") or "__init__"
-                 for name in result.stdout.split()}
-        assert names == set(self.MODULES)
+                 for name in modules.split()}
+        return names, numpy == "True"
+
+    def test_import_isocg_loads_the_listed_modules(self):
+        assert self.loaded("import isocg") == ({"__init__"}, False)
+
+    def test_a_name_loads_its_module_and_is_bound(self):
+        code = "import isocg\nisocg.gemv\nassert 'gemv' in vars(isocg)"
+        assert self.loaded(code) == ({"__init__", "errors", "linalg"}, True)
+
+    def test_import_cli_loads_every_module(self):
+        assert self.loaded("import isocg.cli") == ({*self.MODULES, "cli"}, True)
 
     def test_module_level_imports_are_the_listed_ones(self):
         found = {}
@@ -801,6 +857,10 @@ class TestExtremeOperatingPoints:
     HUGE_LLC = [("machines.ini", "llc_bytes = 524288\n", "llc_bytes = 1" + "0" * 308 + "\n"),
                 ("samples.csv", "a7,4,0.5,on_chip,0.38,", "a7,4,0.5,on_chip,1e-30,")]
 
+    # An a7 target at 1e300 GFLOPS and 1 W: the hybrid's rate times 1e9 overflows, so its
+    # energy underflows to 0.0 J.
+    HUGE_TARGET = [("samples.csv", "a7,4,0.5,on_chip,0.38,0.1413,", "a7,4,0.5,on_chip,1e300,1,")]
+
     @pytest.mark.parametrize(
         ("edits", "argv", "message"),
         [
@@ -816,10 +876,12 @@ class TestExtremeOperatingPoints:
             (FAR_APART, ["ets", "--size", "16"], "iso_performance: cluster_count 0.0"),
             (HUGE_LLC, ["iso", "--mode", "capacity", "--ref", "xeon:8:2.0", "--target", "a7:0.5"],
              "iso_capacity: achieved 0.0 GFLOPS at 2.963275776e-302 W"),
+            (HUGE_TARGET, ["ets", "--size", "16", "--mode", "iso-capacity", "--json"],
+             "energy to solution 0.0 J"),
         ],
         ids=["tiny-target-iso-perf", "tiny-target-ets", "tiny-target-iso-power",
              "tiny-target-alpha-near-one", "far-apart-iso-perf", "far-apart-ets",
-             "huge-llc-iso-capacity"],
+             "huge-llc-iso-capacity", "huge-target-ets-capacity"],
     )
     def test_exit_65_on_one_line(self, capsys, tmp_path, edits, argv, message):
         save_sampleset(load_sampleset(default_data_dir()), tmp_path)
