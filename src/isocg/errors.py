@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = [
-    "IsocgError",
-    "DimensionMismatchError",
-    "InvalidSpectrumError",
-    "SolverDivergedError",
-    "InsufficientDataError",
-    "SampleSetError",
-    "UnknownMachineError",
-    "InfeasibleError",
-    "NoBreakEvenError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class IsocgError(Exception):

@@ -26,18 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .linalg import as_vector
 
-__all__ = [
-    "BIT_DOMAINS",
-    "FaultPolicy",
-    "FaultEvent",
-    "FaultInjector",
-    "float_to_bits",
-    "bits_to_float",
-    "flip_bits",
-    "events_to_jsonl",
-]
+__all__ = list(_EXPORTS["faults"])
 
 # IEEE-754 binary64 layout: bit 63 sign, bits 62..52 exponent, bits 51..0 mantissa.
 SIGN_BIT = 63

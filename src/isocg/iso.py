@@ -26,29 +26,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import InfeasibleError, NoBreakEvenError
 from .machine import PerfSample
 
-__all__ = [
-    "ISO_PERFORMANCE",
-    "ISO_POWER",
-    "ISO_CAPACITY",
-    "HybridSystem",
-    "IsoReport",
-    "EtsPoint",
-    "iso_performance_clusters",
-    "iso_power_clusters",
-    "iso_capacity_clusters",
-    "hybrid_gflops",
-    "hybrid_watts",
-    "solve_hybrid_for_mode",
-    "match",
-    "ets",
-    "ets_curve",
-    "breakeven_degradation",
-    "EtsAnalysis",
-    "ets_analysis",
-]
+__all__ = list(_EXPORTS["iso"])
 
 ISO_PERFORMANCE = "iso_performance"
 ISO_POWER = "iso_power"

@@ -23,15 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionMismatchError, InvalidSpectrumError
 
-__all__ = [
-    "PreparedMatrix",
-    "gemv",
-    "dot",
-    "gen_spd_diag_dominant",
-    "gen_spd_spectrum",
-]
+__all__ = list(_EXPORTS["linalg"])
 
 # Tile edge of the symmetry scans and the generator's mirror.  64 was fastest
 # for the bitwise scan and the mirror at n=512..4096.

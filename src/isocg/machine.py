@@ -26,25 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import InsufficientDataError, SampleSetError, UnknownMachineError
 
-__all__ = [
-    "DOUBLE_GEMV_INTENSITY",
-    "MachineSpec",
-    "PerfSample",
-    "StaticPowerFit",
-    "ScalingFactors",
-    "SampleSet",
-    "roofline_gflops",
-    "static_power_fit",
-    "scaling_factors",
-    "gflops_per_watt",
-    "max_onchip_n",
-    "load_sampleset",
-    "save_sampleset",
-    "default_data_dir",
-    "bundled_sampleset",
-]
+__all__ = list(_EXPORTS["machine"])
 
 # Double-precision gemv streams 8 bytes of matrix per multiply-add pair.
 DOUBLE_GEMV_INTENSITY = 0.25

@@ -37,11 +37,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionMismatchError, IsocgError, SolverDivergedError
 from .faults import FaultEvent, FaultInjector, FaultPolicy
 from .linalg import PreparedMatrix, _upper_tiles, as_square_matrix, as_vector, dot, gemv
 
-__all__ = ["SolveConfig", "SolveReport", "cg_solve", "sscg_solve", "load_system"]
+__all__ = list(_EXPORTS["solvers"])
 
 # Generous cap so heavily degraded runs never hit it: max_iter = _MAX_ITER_FACTOR * n.
 _MAX_ITER_FACTOR = 50
