@@ -36,6 +36,9 @@ ISO_PERFORMANCE = "iso_performance"
 ISO_POWER = "iso_power"
 ISO_CAPACITY = "iso_capacity"
 _MODES = (ISO_PERFORMANCE, ISO_POWER, ISO_CAPACITY)
+# The figure each affine query inverts, with the verb, unit and goal its message names.
+_AFFINE = {ISO_PERFORMANCE: ("gflops", "delivers", "GFLOPS", "target"),
+           ISO_POWER: ("watts", "draws", "W", "budget")}
 
 
 def _positive(name: str, value: float) -> float:
@@ -139,30 +142,21 @@ def solve_hybrid_for_mode(
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     ref = ref if ref is not None else template.reliable
     alpha = template.ss_fraction
-    g_rel, p_rel = template.reliable.gflops, template.reliable.watts
-    g_unrel, p_unrel = template.unreliable.gflops, template.unreliable.watts
 
     if mode == ISO_CAPACITY:
         if ref_llc_bytes is None or unreliable_llc_bytes is None:
             raise ValueError("iso_capacity requires ref_llc_bytes and unreliable_llc_bytes")
         n = iso_capacity_clusters(ref_llc_bytes, unreliable_llc_bytes)
-    elif mode == ISO_PERFORMANCE:
-        surplus = ref.gflops - alpha * g_rel
-        if surplus <= 0:
-            raise InfeasibleError(
-                f"reliable share alone delivers {alpha * g_rel} GFLOPS, "
-                f"already at or above the {ref.gflops} GFLOPS target"
-            )
-        per_cluster = (1.0 - alpha) * g_unrel
-        n = surplus / per_cluster if per_cluster else math.inf
     else:
-        surplus = ref.watts - alpha * p_rel
+        figure, verb, unit, goal = _AFFINE[mode]
+        rel, goal_value = getattr(template.reliable, figure), getattr(ref, figure)
+        surplus = goal_value - alpha * rel
         if surplus <= 0:
             raise InfeasibleError(
-                f"reliable share alone draws {alpha * p_rel} W, "
-                f"already at or above the {ref.watts} W budget"
+                f"reliable share alone {verb} {alpha * rel} {unit}, "
+                f"already at or above the {goal_value} {unit} {goal}"
             )
-        per_cluster = (1.0 - alpha) * p_unrel
+        per_cluster = (1.0 - alpha) * getattr(template.unreliable, figure)
         n = surplus / per_cluster if per_cluster else math.inf
 
     if n == 0.0:  # an underflow, which HybridSystem would refuse as a bad argument
