@@ -246,14 +246,15 @@ def ets_curve(
 
     The reference runs fault-free, so its energy is flat in d; the hybrid
     pays (1 + d) times the iterations at unchanged per-iteration cost.
-    Raises :class:`InfeasibleError` when an energy is not in (0, inf).
+    Raises ``ValueError`` for a d that is negative or not finite, and
+    :class:`InfeasibleError` when an energy is not in (0, inf).
     """
     ref_ets = ets(flops_total, ref.gflops, ref.watts)
     base = ets(flops_total, hybrid_gflops(h), hybrid_watts(h))
     points = []
     for d in degradations:
-        if d < 0:
-            raise ValueError(f"degradation must be >= 0, got {d}")
+        if not 0.0 <= d < math.inf:  # NaN fails too
+            raise ValueError(f"degradation must be finite and >= 0, got {d}")
         points.append((EtsPoint(d, ref_ets), EtsPoint(d, _in_range(base * (1.0 + d)))))
     return points
 
@@ -274,8 +275,8 @@ def breakeven_degradation(ref: PerfSample, h: HybridSystem) -> float:
         if d >= -1e-12:
             return 0.0
         raise NoBreakEvenError(
-            f"hybrid energy ({ets(1e9, g_h, p_h):.4g} J/GFLOP) already exceeds "
-            f"the reference ({ets(1e9, ref.gflops, ref.watts):.4g} J/GFLOP)"
+            f"hybrid energy ({p_h / g_h:.4g} J/GFLOP) already exceeds "
+            f"the reference ({ref.watts / ref.gflops:.4g} J/GFLOP)"
         )
     return d
 
@@ -300,6 +301,9 @@ def ets_analysis(mode: str, ref: PerfSample, target: PerfSample, percents: Seque
         breakeven = breakeven_degradation(ref, hybrid)
     except NoBreakEvenError:
         breakeven = None
+    # A finite break-even can overflow in percent, the unit the curve lists it in.
+    if breakeven is not None and 100.0 * breakeven == math.inf:
+        raise InfeasibleError(f"{mode}: breakeven_percent inf is outside the float64 range")
     if breakeven is not None and not any(abs(p - 100.0 * breakeven) < 1e-9 for p in percents):
         percents = sorted([*percents, 100.0 * breakeven])
     curve = ets_curve(ref, hybrid, [p / 100.0 for p in percents], flops_total)

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -528,6 +529,15 @@ class TestLazyNamespace:
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(isocg.__all__)
         assert len(isocg.__all__) == 61
 
+    def test_every_class_and_function_is_defined_in_its_module(self):
+        # A name re-exported from another module is also an attribute of the module it is
+        # filed under, so only ``__module__`` tells that it is filed in the wrong place.
+        for module, names in isocg._EXPORTS.items():
+            for name in names:
+                value = getattr(isocg, name)
+                if inspect.isclass(value) or inspect.isfunction(value):
+                    assert value.__module__ == f"isocg.{module}", name
+
     def test_unknown_name_is_attribute_error(self):
         with pytest.raises(AttributeError) as excinfo:
             isocg.nonexistent
@@ -894,6 +904,30 @@ class TestExtremeOperatingPoints:
         assert code == 65
         assert out == ""
         assert err == f"isocg: {message} is outside the float64 range\n"
+
+
+class TestBreakEvenOverflow:
+    """A break-even degradation that is finite but overflows in percent is infeasible (65),
+    on one line naming it, not a traceback."""
+
+    # The a15 reference at 1e-150 GFLOPS and 1 W, the a7 target at 1e157 GFLOPS and 1 W: at
+    # iso-power the hybrid is about 9e306 times as efficient as the reference.
+    FAST_TARGET = [("samples.csv", "a15,4,1.6,on_chip,2.1,5.49,", "a15,4,1.6,on_chip,1e-150,1,"),
+                   ("samples.csv", "a7,4,0.5,on_chip,0.38,0.1413,", "a7,4,0.5,on_chip,1e157,1,")]
+
+    @pytest.mark.parametrize("mode", ["iso-power", "iso-capacity"])
+    def test_exit_65_on_one_line(self, capsys, tmp_path, mode):
+        save_sampleset(load_sampleset(default_data_dir()), tmp_path)
+        for name, old, new in self.FAST_TARGET:
+            path = tmp_path / name
+            text = path.read_text()
+            assert text.count(old) == 1
+            path.write_text(text.replace(old, new))
+        code, out, err = run_cli(capsys, "ets", "--size", "16", "--mode", mode, "--json",
+                                 "--data", str(tmp_path))
+        assert (code, out) == (65, "")
+        assert err == (f"isocg: iso_{mode.removeprefix('iso-')}: breakeven_percent inf "
+                       "is outside the float64 range\n")
 
 
 class TestDataSetFieldErrors:

@@ -14,6 +14,7 @@ from isocg import (
     PerfSample,
     breakeven_degradation,
     ets,
+    ets_analysis,
     ets_curve,
     hybrid_gflops,
     hybrid_watts,
@@ -281,6 +282,37 @@ class TestBreakEven:
         d = breakeven_degradation(a15, hybrid)
         ((ref_pt, hyb_pt),) = ets_curve(a15, hybrid, [d], 3.0e9)
         assert hyb_pt.ets_joules == pytest.approx(ref_pt.ets_joules, rel=1e-12)
+
+
+class TestEtsRangeEdges:
+    """Degradations and break-evens at the ends of the float64 range fail with the right type."""
+
+    @pytest.mark.parametrize("d", [float("nan"), float("inf")])
+    def test_curve_rejects_non_finite_degradation(self, template, a15, d):
+        with pytest.raises(ValueError, match=f"^degradation must be finite and >= 0, got {d}$"):
+            ets_curve(a15, template.with_clusters(1.0), [0.0, d], 1.0e9)
+
+    def test_curve_rejects_negative_degradation_with_the_same_message(self, template, a15):
+        with pytest.raises(ValueError, match=r"^degradation must be finite and >= 0, got -0\.1$"):
+            ets_curve(a15, template.with_clusters(1.0), [-0.1], 1.0e9)
+
+    def test_no_break_even_when_the_hybrid_energy_underflows(self):
+        # The hybrid's rate times 1e9 overflows, so its energy per GFLOP reads as 0.0 J if
+        # computed as an energy; the figures the message prints are plain watts / gflops.
+        ref = ref_sample(2.1, 5.49, "r")
+        h = HybridSystem(ref, ref_sample(1e300, 1e306, "u"), 4.0, 0.1)
+        with pytest.raises(NoBreakEvenError) as excinfo:
+            breakeven_degradation(ref, h)
+        assert str(excinfo.value) == (
+            "hybrid energy (1e+06 J/GFLOP) already exceeds the reference (2.614 J/GFLOP)")
+
+    def test_break_even_that_overflows_in_percent_is_infeasible(self):
+        # d is about 9e306, finite, but 100 * d is not.
+        ref, target = ref_sample(1e-150, 1.0, "r"), ref_sample(1e157, 1.0, "u")
+        with pytest.raises(InfeasibleError) as excinfo:
+            ets_analysis(ISO_POWER, ref, target, [0.0], 1.0e9,
+                         ref_llc_bytes=MIB, target_llc_bytes=MIB, ss_fraction=0.1)
+        assert str(excinfo.value) == "iso_power: breakeven_percent inf is outside the float64 range"
 
 
 class TestIsoReport:
