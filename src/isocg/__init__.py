@@ -14,6 +14,9 @@ The package has two halves that meet in the energy analysis:
 name loads the submodule that defines it on first use (PEP 562), and so does
 each submodule name, as in ``isocg.linalg``.  The command line
 (``isocg.cli``) imports every submodule when it loads.
+
+``_EXPORTS`` below is the one list of public names: each submodule takes its
+``__all__`` from it, so a new public name is added there and nowhere else.
 """
 
 import importlib
