@@ -23,7 +23,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each submodule with its public names, in order: its ``__all__`` is read from here.
+# Each submodule with its public names, in the order of its ``__all__``.
 _EXPORTS = {
     "errors": ("IsocgError", "DimensionMismatchError", "InvalidSpectrumError",
                "SolverDivergedError", "InsufficientDataError", "SampleSetError",

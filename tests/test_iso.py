@@ -287,14 +287,11 @@ class TestBreakEven:
 class TestEtsRangeEdges:
     """Degradations and break-evens at the ends of the float64 range fail with the right type."""
 
-    @pytest.mark.parametrize("d", [float("nan"), float("inf")])
-    def test_curve_rejects_non_finite_degradation(self, template, a15, d):
-        with pytest.raises(ValueError, match=f"^degradation must be finite and >= 0, got {d}$"):
+    @pytest.mark.parametrize("d", [float("nan"), float("inf"), -0.1])
+    def test_curve_rejects_non_finite_or_negative_degradation(self, template, a15, d):
+        with pytest.raises(ValueError) as excinfo:
             ets_curve(a15, template.with_clusters(1.0), [0.0, d], 1.0e9)
-
-    def test_curve_rejects_negative_degradation_with_the_same_message(self, template, a15):
-        with pytest.raises(ValueError, match=r"^degradation must be finite and >= 0, got -0\.1$"):
-            ets_curve(a15, template.with_clusters(1.0), [-0.1], 1.0e9)
+        assert str(excinfo.value) == f"degradation must be finite and >= 0, got {d}"
 
     def test_no_break_even_when_the_hybrid_energy_underflows(self):
         # The hybrid's rate times 1e9 overflows, so its energy per GFLOP reads as 0.0 J if
