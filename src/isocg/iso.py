@@ -17,6 +17,10 @@ Both are affine in n, so every matching query inverts in closed form.
 At alpha = 0 the model is the plain query, n clusters alone matching the
 reference; :func:`match` answers both through :func:`solve_hybrid_for_mode`,
 and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
+
+Operating points near the ends of the float64 range can over- or underflow
+a figure made from them.  One rule holds for every such figure: it must lie
+in (0, inf) where it is made, or the query raises :class:`InfeasibleError`.
 """
 
 from __future__ import annotations
@@ -49,23 +53,20 @@ def _positive(name: str, value: float) -> float:
 
 def iso_performance_clusters(ref_gflops: float, target_cluster_gflops: float) -> float:
     """Cluster count matching the reference throughput."""
-    return _positive("ref_gflops", ref_gflops) / _positive(
-        "target_cluster_gflops", target_cluster_gflops
-    )
+    return (_positive("ref_gflops", ref_gflops)
+            / _positive("target_cluster_gflops", target_cluster_gflops))
 
 
 def iso_power_clusters(ref_watts: float, target_cluster_watts: float) -> float:
     """Cluster count fitting the reference power budget."""
-    return _positive("ref_watts", ref_watts) / _positive(
-        "target_cluster_watts", target_cluster_watts
-    )
+    return (_positive("ref_watts", ref_watts)
+            / _positive("target_cluster_watts", target_cluster_watts))
 
 
 def iso_capacity_clusters(ref_llc_bytes: float, target_llc_bytes: float) -> float:
     """Cluster count matching the reference last-level-cache capacity."""
-    return _positive("ref_llc_bytes", ref_llc_bytes) / _positive(
-        "target_llc_bytes", target_llc_bytes
-    )
+    return (_positive("ref_llc_bytes", ref_llc_bytes)
+            / _positive("target_llc_bytes", target_llc_bytes))
 
 
 @dataclass
@@ -96,13 +97,26 @@ class HybridSystem:
 
 def hybrid_gflops(h: HybridSystem) -> float:
     alpha = h.ss_fraction
-    g_unrel = h.n_unreliable * h.unreliable.gflops
-    return alpha * h.reliable.gflops + (1.0 - alpha) * g_unrel
+    return alpha * h.reliable.gflops + (1.0 - alpha) * (h.n_unreliable * h.unreliable.gflops)
 
 
 def hybrid_watts(h: HybridSystem) -> float:
     alpha = h.ss_fraction
     return alpha * h.reliable.watts + (1.0 - alpha) * h.n_unreliable * h.unreliable.watts
+
+
+def _in_range(what: str, value: float, unit: str = "") -> float:
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise InfeasibleError(f"{what} {value}{unit} is outside the float64 range")
+    return value
+
+
+def _achieved(what: str, h: HybridSystem) -> tuple[float, float]:
+    # Every caller divides by both; an overflow is left to the figure it makes.
+    g, p = hybrid_gflops(h), hybrid_watts(h)
+    if g == 0.0 or p == 0.0:
+        raise InfeasibleError(f"{what}: achieved {g} GFLOPS at {p} W is outside the float64 range")
+    return g, p
 
 
 @dataclass
@@ -116,10 +130,9 @@ class IsoReport:
     ratios: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Operating points near the ends of the float64 range can over- or underflow a figure.
         for name, value in {**vars(self), **self.ratios}.items():
-            if isinstance(value, float) and not 0.0 < value < math.inf:
-                raise InfeasibleError(f"{self.mode}: {name} {value} is outside the float64 range")
+            if isinstance(value, float):
+                _in_range(f"{self.mode}: {name}", value)
 
 
 def solve_hybrid_for_mode(
@@ -159,19 +172,13 @@ def solve_hybrid_for_mode(
         per_cluster = (1.0 - alpha) * getattr(template.unreliable, figure)
         n = surplus / per_cluster if per_cluster else math.inf
 
-    if n == 0.0:  # an underflow, which HybridSystem would refuse as a bad argument
-        raise InfeasibleError(f"{mode}: cluster_count {n} is outside the float64 range")
-    h = template.with_clusters(n)
-    g = hybrid_gflops(h)
-    p = hybrid_watts(h)
-    if g == 0.0 or p == 0.0:  # underflows, which the ratios below would divide by
-        raise InfeasibleError(f"{mode}: achieved {g} GFLOPS at {p} W is outside the float64 range")
+    g, p = _achieved(mode, template.with_clusters(_in_range(f"{mode}: cluster_count", n)))
     ratios = {
         "perf_vs_ref": g / ref.gflops,
         "power_vs_ref": p / ref.watts,
         "ref_perf_vs_target": ref.gflops / g,
         "ref_power_vs_target": ref.watts / p,
-        "efficiency_vs_ref": (g / p) / (ref.gflops / ref.watts),
+        "efficiency_vs_ref": (g / p) / _in_range(f"{mode}: ref GFLOPS/W", ref.gflops / ref.watts),
     }
     return IsoReport(mode, n, g, p, ratios)
 
@@ -218,13 +225,6 @@ class EtsPoint:
     ets_joules: float
 
 
-def _in_range(joules: float) -> float:
-    # A rate or power near the ends of the float64 range can over- or underflow an energy.
-    if not 0.0 < joules < math.inf:
-        raise InfeasibleError(f"energy to solution {joules} J is outside the float64 range")
-    return joules
-
-
 def ets(flops_total: float, gflops: float, watts: float) -> float:
     """Joules to execute ``flops_total`` at the given rate and power.
 
@@ -233,7 +233,7 @@ def ets(flops_total: float, gflops: float, watts: float) -> float:
     _positive("flops_total", flops_total)
     _positive("gflops", gflops)
     _positive("watts", watts)
-    return _in_range(flops_total / (gflops * 1.0e9) * watts)
+    return _in_range("energy to solution", flops_total / (gflops * 1.0e9) * watts, " J")
 
 
 def ets_curve(
@@ -246,28 +246,28 @@ def ets_curve(
 
     The reference runs fault-free, so its energy is flat in d; the hybrid
     pays (1 + d) times the iterations at unchanged per-iteration cost.
-    Raises ``ValueError`` for a d that is negative or not finite, and
-    :class:`InfeasibleError` when an energy is not in (0, inf).
+    Raises ``ValueError`` for a negative or non-finite d, and :class:`InfeasibleError`
+    when the hybrid's GFLOPS or W or an energy is not in (0, inf).
     """
     ref_ets = ets(flops_total, ref.gflops, ref.watts)
-    base = ets(flops_total, hybrid_gflops(h), hybrid_watts(h))
+    base = ets(flops_total, *_achieved("hybrid", h))
     points = []
     for d in degradations:
         if not 0.0 <= d < math.inf:  # NaN fails too
             raise ValueError(f"degradation must be finite and >= 0, got {d}")
-        points.append((EtsPoint(d, ref_ets), EtsPoint(d, _in_range(base * (1.0 + d)))))
+        hybrid_ets = _in_range("energy to solution", base * (1.0 + d), " J")
+        points.append((EtsPoint(d, ref_ets), EtsPoint(d, hybrid_ets)))
     return points
 
 
 def breakeven_degradation(ref: PerfSample, h: HybridSystem) -> float:
     """Degradation at which the hybrid's energy equals the reference's.
 
-    Solving ets_hybrid * (1 + d) = ets_ref gives
-    d = (G_hybrid / G_ref) * (P_ref / P_hybrid) - 1.  Raises
-    :class:`NoBreakEvenError` when the hybrid is never cheaper (d < 0).
+    Solving ets_hybrid * (1 + d) = ets_ref gives d = (G_hybrid / G_ref) * (P_ref / P_hybrid) - 1.
+    Raises :class:`NoBreakEvenError` when the hybrid is never cheaper (d < 0), and
+    :class:`InfeasibleError` when the hybrid's GFLOPS or W or a nonzero d is not in (0, inf).
     """
-    g_h = hybrid_gflops(h)
-    p_h = hybrid_watts(h)
+    g_h, p_h = _achieved("hybrid", h)
     d = (g_h / ref.gflops) * (ref.watts / p_h) - 1.0
     if d < 0.0:
         # exact energy ties break even at zero; only a genuinely more
@@ -278,7 +278,7 @@ def breakeven_degradation(ref: PerfSample, h: HybridSystem) -> float:
             f"hybrid energy ({p_h / g_h:.4g} J/GFLOP) already exceeds "
             f"the reference ({ref.watts / ref.gflops:.4g} J/GFLOP)"
         )
-    return d
+    return d if d == 0.0 else _in_range("hybrid: breakeven", d)  # inf * 0.0 makes a NaN
 
 
 class EtsAnalysis(NamedTuple):
@@ -301,9 +301,9 @@ def ets_analysis(mode: str, ref: PerfSample, target: PerfSample, percents: Seque
         breakeven = breakeven_degradation(ref, hybrid)
     except NoBreakEvenError:
         breakeven = None
-    # A finite break-even can overflow in percent, the unit the curve lists it in.
-    if breakeven is not None and 100.0 * breakeven == math.inf:
-        raise InfeasibleError(f"{mode}: breakeven_percent inf is outside the float64 range")
+    # A positive break-even can overflow in percent, the unit the curve lists it in.
+    if breakeven:
+        _in_range(f"{mode}: breakeven_percent", 100.0 * breakeven)
     if breakeven is not None and not any(abs(p - 100.0 * breakeven) < 1e-9 for p in percents):
         percents = sorted([*percents, 100.0 * breakeven])
     curve = ets_curve(ref, hybrid, [p / 100.0 for p in percents], flops_total)

@@ -870,6 +870,9 @@ class TestExtremeOperatingPoints:
     # An a7 target at 1e300 GFLOPS and 1 W: the hybrid's rate times 1e9 overflows, so its
     # energy underflows to 0.0 J.
     HUGE_TARGET = [("samples.csv", "a7,4,0.5,on_chip,0.38,0.1413,", "a7,4,0.5,on_chip,1e300,1,")]
+    # The a15 reference at 1e-200 GFLOPS and 1e200 W: its GFLOPS per watt underflows to 0.0,
+    # the divisor of efficiency_vs_ref.
+    DIM_REF = [("samples.csv", "a15,4,1.6,on_chip,2.1,5.49,", "a15,4,1.6,on_chip,1e-200,1e200,")]
 
     @pytest.mark.parametrize(
         ("edits", "argv", "message"),
@@ -888,10 +891,17 @@ class TestExtremeOperatingPoints:
              "iso_capacity: achieved 0.0 GFLOPS at 2.963275776e-302 W"),
             (HUGE_TARGET, ["ets", "--size", "16", "--mode", "iso-capacity", "--json"],
              "energy to solution 0.0 J"),
+            (DIM_REF, _ISO_PERF, "iso_performance: ref GFLOPS/W 0.0"),
+            (DIM_REF, ["iso", "--mode", "power", "--ref", "a15:4:1.6", "--target", "a7:0.5"],
+             "iso_power: ref GFLOPS/W 0.0"),
+            (DIM_REF, ["iso", "--mode", "capacity", "--ref", "a15:4:1.6", "--target", "a7:0.5"],
+             "iso_capacity: ref GFLOPS/W 0.0"),
+            (DIM_REF, ["ets", "--size", "16"], "iso_performance: ref GFLOPS/W 0.0"),
         ],
         ids=["tiny-target-iso-perf", "tiny-target-ets", "tiny-target-iso-power",
              "tiny-target-alpha-near-one", "far-apart-iso-perf", "far-apart-ets",
-             "huge-llc-iso-capacity", "huge-target-ets-capacity"],
+             "huge-llc-iso-capacity", "huge-target-ets-capacity", "dim-ref-iso-perf",
+             "dim-ref-iso-power", "dim-ref-iso-capacity", "dim-ref-ets"],
     )
     def test_exit_65_on_one_line(self, capsys, tmp_path, edits, argv, message):
         save_sampleset(load_sampleset(default_data_dir()), tmp_path)

@@ -1,15 +1,21 @@
 import hashlib
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocg import (
     ISO_CAPACITY,
     ISO_PERFORMANCE,
     ISO_POWER,
+    EtsAnalysis,
     HybridSystem,
     InfeasibleError,
+    IsocgError,
+    IsoReport,
     NoBreakEvenError,
     PerfSample,
     breakeven_degradation,
@@ -310,6 +316,58 @@ class TestEtsRangeEdges:
             ets_analysis(ISO_POWER, ref, target, [0.0], 1.0e9,
                          ref_llc_bytes=MIB, target_llc_bytes=MIB, ss_fraction=0.1)
         assert str(excinfo.value) == "iso_power: breakeven_percent inf is outside the float64 range"
+
+
+# Log-uniform over [1e-308, 1e308], the float64 range to within a factor of two at each end.
+EXTREME = st.floats(-308.0, 308.0).map(lambda e: 10.0 ** e)
+ALPHAS = st.one_of(st.sampled_from([0.0, 0.1, 2.0 / 11.0, 0.5, 1.0 - 2.0 ** -53]),
+                   st.floats(0.0, 1.0, exclude_max=True))
+
+
+def returned_figures(result):
+    """The figures of an IsoReport, an ets_curve list or an EtsAnalysis."""
+    if isinstance(result, IsoReport):
+        return [result.cluster_count, result.achieved_gflops, result.achieved_watts,
+                *result.ratios.values()]
+    if isinstance(result, EtsAnalysis):
+        return returned_figures(result.report) + returned_figures(result.curve)
+    return [point.ets_joules for pair in result for point in pair]
+
+
+class TestFloat64RangeProperty:
+    """Over the whole float64 range a model query returns figures in (0, inf) or raises an
+    IsocgError: no ZeroDivisionError, no ValueError for an argument the caller did not pass,
+    no NaN."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from([ISO_PERFORMANCE, ISO_POWER, ISO_CAPACITY]),
+           figures=st.lists(EXTREME, min_size=8, max_size=8), alpha=ALPHAS,
+           percent=st.floats(0.0, 1.0e4))
+    def test_figures_in_range_or_isocg_error(self, mode, figures, alpha, percent):
+        ref_g, ref_w, target_g, target_w, ref_llc, target_llc, n, flops = figures
+        ref, target = ref_sample(ref_g, ref_w, "r"), ref_sample(target_g, target_w, "u")
+        h = HybridSystem(ref, target, n, alpha)
+        llc = {"ref_llc_bytes": ref_llc, "target_llc_bytes": target_llc}
+        queries = {
+            "match": lambda: match(mode, ref, target, **llc, ss_fraction=alpha),
+            "solve_hybrid_for_mode": lambda: solve_hybrid_for_mode(
+                mode, h, ref, ref_llc_bytes=ref_llc, unreliable_llc_bytes=target_llc),
+            "ets_curve": lambda: ets_curve(ref, h, [0.0, percent / 100.0], flops),
+            "ets_analysis": lambda: ets_analysis(mode, ref, target, [0.0, percent], flops, **llc,
+                                                 ss_fraction=alpha),
+        }
+        for name, query in queries.items():
+            try:
+                result = query()
+            except IsocgError:
+                continue
+            for figure in returned_figures(result):
+                assert 0.0 < figure < math.inf, (name, result)
+        try:
+            d = breakeven_degradation(ref, h)
+        except IsocgError:
+            return
+        assert 0.0 <= d < math.inf
 
 
 class TestIsoReport:
