@@ -18,9 +18,8 @@ At alpha = 0 the model is the plain query, n clusters alone matching the
 reference; :func:`match` answers both through :func:`solve_hybrid_for_mode`,
 and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
 
-Operating points near the ends of the float64 range can over- or underflow
-a figure made from them.  One rule holds for every such figure: it must lie
-in (0, inf) where it is made, or the query raises :class:`InfeasibleError`.
+A figure made from operating points can over- or underflow; the one rule is
+that it must lie in (0, inf) where made, or the query raises :class:`InfeasibleError`.
 """
 
 from __future__ import annotations
@@ -53,20 +52,23 @@ def _positive(name: str, value: float) -> float:
 
 def iso_performance_clusters(ref_gflops: float, target_cluster_gflops: float) -> float:
     """Cluster count matching the reference throughput."""
-    return (_positive("ref_gflops", ref_gflops)
-            / _positive("target_cluster_gflops", target_cluster_gflops))
+    return _positive("ref_gflops", ref_gflops) / _positive(
+        "target_cluster_gflops", target_cluster_gflops
+    )
 
 
 def iso_power_clusters(ref_watts: float, target_cluster_watts: float) -> float:
     """Cluster count fitting the reference power budget."""
-    return (_positive("ref_watts", ref_watts)
-            / _positive("target_cluster_watts", target_cluster_watts))
+    return _positive("ref_watts", ref_watts) / _positive(
+        "target_cluster_watts", target_cluster_watts
+    )
 
 
 def iso_capacity_clusters(ref_llc_bytes: float, target_llc_bytes: float) -> float:
     """Cluster count matching the reference last-level-cache capacity."""
-    return (_positive("ref_llc_bytes", ref_llc_bytes)
-            / _positive("target_llc_bytes", target_llc_bytes))
+    return _positive("ref_llc_bytes", ref_llc_bytes) / _positive(
+        "target_llc_bytes", target_llc_bytes
+    )
 
 
 @dataclass
@@ -97,7 +99,8 @@ class HybridSystem:
 
 def hybrid_gflops(h: HybridSystem) -> float:
     alpha = h.ss_fraction
-    return alpha * h.reliable.gflops + (1.0 - alpha) * (h.n_unreliable * h.unreliable.gflops)
+    g_unrel = h.n_unreliable * h.unreliable.gflops
+    return alpha * h.reliable.gflops + (1.0 - alpha) * g_unrel
 
 
 def hybrid_watts(h: HybridSystem) -> float:
@@ -269,16 +272,13 @@ def breakeven_degradation(ref: PerfSample, h: HybridSystem) -> float:
     """
     g_h, p_h = _achieved("hybrid", h)
     d = (g_h / ref.gflops) * (ref.watts / p_h) - 1.0
-    if d < 0.0:
-        # exact energy ties break even at zero; only a genuinely more
-        # expensive hybrid has no break-even
-        if d >= -1e-12:
-            return 0.0
+    if d < -1e-12:
         raise NoBreakEvenError(
             f"hybrid energy ({p_h / g_h:.4g} J/GFLOP) already exceeds "
             f"the reference ({ref.watts / ref.gflops:.4g} J/GFLOP)"
         )
-    return d if d == 0.0 else _in_range("hybrid: breakeven", d)  # inf * 0.0 makes a NaN
+    # Near-exact energy ties break even at zero; inf * 0.0 above makes a NaN, refused here.
+    return 0.0 if d <= 0.0 else _in_range("hybrid: breakeven", d)
 
 
 class EtsAnalysis(NamedTuple):
