@@ -268,7 +268,7 @@ def breakeven_degradation(ref: PerfSample, h: HybridSystem) -> float:
 
     Solving ets_hybrid * (1 + d) = ets_ref gives d = (G_hybrid / G_ref) * (P_ref / P_hybrid) - 1.
     Raises :class:`NoBreakEvenError` when the hybrid is never cheaper (d < 0), and
-    :class:`InfeasibleError` when the hybrid's GFLOPS or W or a nonzero d is not in (0, inf).
+    :class:`InfeasibleError` when the hybrid's GFLOPS or W underflows or d is infinite or NaN.
     """
     g_h, p_h = _achieved("hybrid", h)
     d = (g_h / ref.gflops) * (ref.watts / p_h) - 1.0
