@@ -37,9 +37,9 @@ _EXPORTS = {
                 "scaling_factors", "gflops_per_watt", "max_onchip_n", "load_sampleset",
                 "save_sampleset", "default_data_dir", "bundled_sampleset"),
     "iso": ("ISO_PERFORMANCE", "ISO_POWER", "ISO_CAPACITY", "HybridSystem", "IsoReport",
-            "EtsPoint", "iso_performance_clusters", "iso_power_clusters",
-            "iso_capacity_clusters", "hybrid_gflops", "hybrid_watts", "solve_hybrid_for_mode",
-            "match", "ets", "ets_curve", "breakeven_degradation", "EtsAnalysis", "ets_analysis"),
+            "EtsPoint", "iso_capacity_clusters", "hybrid_gflops", "hybrid_watts",
+            "solve_hybrid_for_mode", "match", "ets", "ets_curve", "breakeven_degradation",
+            "EtsAnalysis", "ets_analysis"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

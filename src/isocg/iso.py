@@ -16,7 +16,7 @@ the n unreliable clusters run the rest, and an idle cluster draws nothing:
 Both are affine in n, so every matching query inverts in closed form.
 At alpha = 0 the model is the plain query, n clusters alone matching the
 reference; :func:`match` answers both through :func:`solve_hybrid_for_mode`,
-and the plain answer is bit-identical to the ``iso_*_clusters`` ratio.
+and the plain answer is the closed-form ratio.
 
 A figure made from operating points can over- or underflow; the one rule is
 that it must lie in (0, inf) where made, or the query raises :class:`InfeasibleError`.
@@ -45,23 +45,9 @@ _AFFINE = {ISO_PERFORMANCE: ("gflops", "delivers", "GFLOPS", "target"),
 
 
 def _positive(name: str, value: float) -> float:
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
     return float(value)
-
-
-def iso_performance_clusters(ref_gflops: float, target_cluster_gflops: float) -> float:
-    """Cluster count matching the reference throughput."""
-    return _positive("ref_gflops", ref_gflops) / _positive(
-        "target_cluster_gflops", target_cluster_gflops
-    )
-
-
-def iso_power_clusters(ref_watts: float, target_cluster_watts: float) -> float:
-    """Cluster count fitting the reference power budget."""
-    return _positive("ref_watts", ref_watts) / _positive(
-        "target_cluster_watts", target_cluster_watts
-    )
 
 
 def iso_capacity_clusters(ref_llc_bytes: float, target_llc_bytes: float) -> float:
@@ -90,8 +76,7 @@ class HybridSystem:
     def __post_init__(self) -> None:
         if not 0.0 <= self.ss_fraction < 1.0:
             raise ValueError(f"ss_fraction must lie in [0, 1), got {self.ss_fraction}")
-        if self.n_unreliable <= 0:
-            raise ValueError(f"n_unreliable must be > 0, got {self.n_unreliable}")
+        _positive("n_unreliable", self.n_unreliable)
 
     def with_clusters(self, n_unreliable: float) -> "HybridSystem":
         return HybridSystem(self.reliable, self.unreliable, n_unreliable, self.ss_fraction)
@@ -228,15 +213,20 @@ class EtsPoint:
     ets_joules: float
 
 
+def _energy(flops_total: float, gflops: float, watts: float) -> float:
+    return _in_range("energy to solution", flops_total / (gflops * 1.0e9) * watts, " J")
+
+
 def ets(flops_total: float, gflops: float, watts: float) -> float:
     """Joules to execute ``flops_total`` at the given rate and power.
 
-    Raises :class:`InfeasibleError` when the energy is not in (0, inf).
+    Raises ``ValueError`` naming an argument outside (0, inf), and
+    :class:`InfeasibleError` when the energy is not in (0, inf).
     """
     _positive("flops_total", flops_total)
     _positive("gflops", gflops)
     _positive("watts", watts)
-    return _in_range("energy to solution", flops_total / (gflops * 1.0e9) * watts, " J")
+    return _energy(flops_total, gflops, watts)
 
 
 def ets_curve(
@@ -253,7 +243,7 @@ def ets_curve(
     when the hybrid's GFLOPS or W or an energy is not in (0, inf).
     """
     ref_ets = ets(flops_total, ref.gflops, ref.watts)
-    base = ets(flops_total, *_achieved("hybrid", h))
+    base = _energy(flops_total, *_achieved("hybrid", h))  # not ets: a figure may overflow to inf
     points = []
     for d in degradations:
         if not 0.0 <= d < math.inf:  # NaN fails too

@@ -102,7 +102,7 @@ def load_system(path) -> tuple[PreparedMatrix, np.ndarray]:
     # Tile by tile, without the two n-by-n temporaries of a whole-matrix A - Aᵀ.
     m = a.cols
     asymmetry = max(np.abs(m[r, c] - m[c, r].T).max() for r, c in _upper_tiles(m.shape[0]))
-    if asymmetry > _SYMMETRY_TOL * np.abs(m).max():
+    if asymmetry > _SYMMETRY_TOL * max(m.max(), -m.min()):  # max|A|, without |A|'s temporary
         raise IsocgError(
             f"bad system file {path}: A is not symmetric "
             f"(max|A - A^T| = {asymmetry:.3g} exceeds {_SYMMETRY_TOL:g} * max|A|)"

@@ -27,8 +27,7 @@ from isocg import (
     hybrid_gflops,
     hybrid_watts,
     iso_capacity_clusters,
-    iso_performance_clusters,
-    iso_power_clusters,
+    match,
     max_onchip_n,
     roofline_gflops,
     solve_hybrid_for_mode,
@@ -56,6 +55,12 @@ def hybrid_template(bundled_data):
     )
 
 
+def plain_count(data, mode, ref, target):
+    """Cluster count of ``isocg iso --mode perf|power``: ``match`` with no reliable share."""
+    return match(mode, ref, target, ref_llc_bytes=data.spec(ref.machine).llc_bytes,
+                 target_llc_bytes=data.spec(target.machine).llc_bytes).cluster_count
+
+
 def test_criterion_1_roofline_reproduction():
     rows = [
         ("xeon", 44.0, 11.0, 11.0),
@@ -75,8 +80,8 @@ def test_criterion_2_iso_performance_reproduction(bundled_data):
     a15 = bundled_data.sample("a15", 4, 1.6)
     a7 = bundled_data.sample("a7", 4, 0.5)
 
-    n_a15 = iso_performance_clusters(xeon.gflops, a15.gflops)
-    n_a7 = iso_performance_clusters(xeon.gflops, a7.gflops)
+    n_a15 = plain_count(bundled_data, ISO_PERFORMANCE, xeon, a15)
+    n_a7 = plain_count(bundled_data, ISO_PERFORMANCE, xeon, a7)
     assert n_a15 == pytest.approx(9.1, rel=0.02)
     assert n_a7 == pytest.approx(50.2, rel=0.02)
 
@@ -92,8 +97,8 @@ def test_criterion_3_iso_power_reproduction(bundled_data):
     a15 = bundled_data.sample("a15", 4, 1.6)
     a7 = bundled_data.sample("a7", 4, 0.5)
 
-    a7_ratio = iso_power_clusters(xeon.watts, a7.watts) * a7.gflops / xeon.gflops
-    a15_ratio = iso_power_clusters(xeon.watts, a15.watts) * a15.gflops / xeon.gflops
+    a7_ratio = plain_count(bundled_data, ISO_POWER, xeon, a7) * a7.gflops / xeon.gflops
+    a15_ratio = plain_count(bundled_data, ISO_POWER, xeon, a15) * a15.gflops / xeon.gflops
     assert a7_ratio == pytest.approx(7.0, abs=0.2)
     assert a15_ratio == pytest.approx(1.0, abs=0.02)
     verdict(3, "iso-power reproduction")

@@ -527,7 +527,7 @@ class TestLazyNamespace:
         namespace = {}
         exec("from isocg import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(isocg.__all__)
-        assert len(isocg.__all__) == 61
+        assert len(isocg.__all__) == 59
 
     def test_every_class_and_function_is_defined_in_its_module(self):
         # A name re-exported from another module is also an attribute of the module it is

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isocg import (
@@ -25,8 +25,6 @@ from isocg import (
     hybrid_gflops,
     hybrid_watts,
     iso_capacity_clusters,
-    iso_performance_clusters,
-    iso_power_clusters,
     match,
     solve_hybrid_for_mode,
 )
@@ -53,23 +51,28 @@ def template(a15, a7):
     return HybridSystem(reliable=a15, unreliable=a7, n_unreliable=1.0)
 
 
+def plain(mode, ref, target):
+    """``match`` at alpha = 0, the route ``isocg iso --mode perf|power`` takes."""
+    return match(mode, ref, target, ref_llc_bytes=MIB, target_llc_bytes=MIB).cluster_count
+
+
 class TestClusterCounts:
     def test_iso_performance_a15(self, bundled_data, a15):
         xeon = bundled_data.sample("xeon", 8, 2.0)
-        assert iso_performance_clusters(xeon.gflops, a15.gflops) == pytest.approx(9.1, rel=1e-12)
+        assert plain(ISO_PERFORMANCE, xeon, a15) == pytest.approx(9.1, rel=1e-12)
 
     def test_iso_performance_a7(self, bundled_data, a7):
         xeon = bundled_data.sample("xeon", 8, 2.0)
-        count = iso_performance_clusters(xeon.gflops, a7.gflops)
+        count = plain(ISO_PERFORMANCE, xeon, a7)
         assert count == pytest.approx(50.2, rel=0.02)
 
     def test_self_ratio_is_one(self):
-        assert iso_performance_clusters(3.3, 3.3) == 1.0
-        assert iso_power_clusters(7.7, 7.7) == 1.0
+        assert plain(ISO_PERFORMANCE, ref_sample(3.3, 1.0), ref_sample(3.3, 2.0)) == 1.0
+        assert plain(ISO_POWER, ref_sample(1.0, 7.7), ref_sample(2.0, 7.7)) == 1.0
 
     def test_iso_power_a7(self, bundled_data, a7):
         xeon = bundled_data.sample("xeon", 8, 2.0)
-        count = iso_power_clusters(xeon.watts, a7.watts)
+        count = plain(ISO_POWER, xeon, a7)
         assert count == pytest.approx(353.0, abs=1.0)
         perf_ratio = count * a7.gflops / xeon.gflops
         assert perf_ratio == pytest.approx(7.0, abs=0.2)
@@ -79,11 +82,25 @@ class TestClusterCounts:
         assert iso_capacity_clusters(20.0, 0.5) == 40.0
         assert iso_capacity_clusters(2 * MIB, MIB // 2) == 4.0
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            iso_performance_clusters(0.0, 1.0)
-        with pytest.raises(ValueError):
-            iso_power_clusters(1.0, -1.0)
+
+class TestArgumentRule:
+    """A count, size, flops, GFLOPS or W argument outside (0, inf) raises a ValueError naming it."""
+
+    CALLS = {
+        "ref_llc_bytes": lambda v: iso_capacity_clusters(v, 1.0),
+        "target_llc_bytes": lambda v: iso_capacity_clusters(1.0, v),
+        "flops_total": lambda v: ets(v, 1.0, 1.0),
+        "gflops": lambda v: ets(1.0, v, 1.0),
+        "watts": lambda v: ets(1.0, 1.0, v),
+        "n_unreliable": lambda v: HybridSystem(ref_sample(1.0, 1.0), ref_sample(1.0, 1.0), v),
+    }
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_refuses_value_outside_open_range(self, name, value):
+        with pytest.raises(ValueError) as excinfo:
+            self.CALLS[name](value)
+        assert str(excinfo.value) == f"{name} must be finite and > 0, got {value}"
 
 
 class TestHybridModel:
@@ -201,9 +218,9 @@ class TestScaleInvariance:
 
     def test_iso_power_and_performance_mutually_consistent(self, bundled_data, a7):
         xeon = bundled_data.sample("xeon", 8, 2.0)
-        count = iso_power_clusters(xeon.watts, a7.watts)
-        achieved_gflops = count * a7.gflops
-        recovered = iso_performance_clusters(achieved_gflops, a7.gflops)
+        count = plain(ISO_POWER, xeon, a7)
+        achieved = ref_sample(count * a7.gflops, xeon.watts, "achieved")
+        recovered = plain(ISO_PERFORMANCE, achieved, a7)
         assert recovered * a7.watts == pytest.approx(xeon.watts, rel=1e-12)
 
 
@@ -340,6 +357,10 @@ class TestFloat64RangeProperty:
     no NaN."""
 
     @settings(max_examples=300, deadline=None)
+    # 1e308 clusters at 10 W each overflow the hybrid's W: an InfeasibleError, not a
+    # ValueError for an argument the caller never passed.
+    @example(mode=ISO_PERFORMANCE, figures=[1.0, 1.0, 1.0, 10.0, 1.0, 1.0, 1e308, 1.0],
+             alpha=0.0, percent=0.0)
     @given(mode=st.sampled_from([ISO_PERFORMANCE, ISO_POWER, ISO_CAPACITY]),
            figures=st.lists(EXTREME, min_size=8, max_size=8), alpha=ALPHAS,
            percent=st.floats(0.0, 1.0e4))
@@ -400,8 +421,8 @@ class TestMatch:
         r, t = bundled_data.sample(*ref), bundled_data.sample(*target)
         llc = llc_bytes(bundled_data, ref, target)
         expected = {
-            ISO_PERFORMANCE: iso_performance_clusters(r.gflops, t.gflops),
-            ISO_POWER: iso_power_clusters(r.watts, t.watts),
+            ISO_PERFORMANCE: r.gflops / t.gflops,
+            ISO_POWER: r.watts / t.watts,
             ISO_CAPACITY: iso_capacity_clusters(llc["ref_llc_bytes"], llc["target_llc_bytes"]),
         }
         for mode, count in expected.items():
