@@ -28,7 +28,7 @@ from . import iso as iso_mod
 from .errors import IsocgError, SolverDivergedError, UnknownMachineError
 from .faults import BIT_DOMAINS, FaultPolicy
 from .linalg import PreparedMatrix, gemv, gen_spd_diag_dominant
-from .machine import PROBLEM_CLASSES, default_data_dir, load_sampleset
+from .machine import default_data_dir, load_sampleset
 from .solvers import SolveConfig, cg_solve, load_system, sscg_solve
 
 EXIT_OK = 0
@@ -244,7 +244,7 @@ def _emit_iso_csv(report: iso_mod.IsoReport) -> None:
                                     for col in _ISO_CSV_COLUMNS[1:]]))
 
 
-def _match_args(args, problem_class: str):
+def _match_args(args):
     """``--ref`` and ``--target`` looked up in the data set, as the operating
     points (``None`` for a bare name) and LLC sizes :func:`iso.match` takes."""
     try:
@@ -253,10 +253,10 @@ def _match_args(args, problem_class: str):
         raise _CliError(EXIT_NOINPUT, f"cannot read data set: {exc}") from exc
     (ref_name, cores, ref_freq), (tgt_name, tgt_freq) = args.ref, args.target
     ref_spec, tgt_spec = sset.spec(ref_name), sset.spec(tgt_name)
-    ref = None if ref_freq is None else sset.sample(ref_name, cores, ref_freq, problem_class)
+    ref = None if ref_freq is None else sset.sample(ref_name, cores, ref_freq)
     target = None
     if tgt_freq is not None:
-        target = sset.sample(tgt_name, tgt_spec.cores_per_unit, tgt_freq, problem_class)
+        target = sset.sample(tgt_name, tgt_spec.cores_per_unit, tgt_freq)
     llc = {"ref_llc_bytes": ref_spec.llc_bytes, "target_llc_bytes": tgt_spec.llc_bytes}
     return ref, target, llc
 
@@ -270,7 +270,7 @@ def _cmd_iso(args) -> int:
     if bare and (args.hybrid or args.mode != "capacity"):
         flag = "--hybrid" if args.hybrid else "--mode perf/power"
         args.parser.error(f"{flag} requires --ref machine:cores:freq and --target machine:freq")
-    ref, target, llc = _match_args(args, args.problem_class)
+    ref, target, llc = _match_args(args)
     report = iso_mod.match(_MODE_FLAGS[args.mode], ref, target, **llc, ss_fraction=alpha)
     if args.json:
         _emit_json(dataclasses.asdict(report))
@@ -332,7 +332,7 @@ def _seed(value: str) -> int:
 
 def _cmd_ets(args) -> int:
     _check_size(args)
-    ref_sample, tgt_sample, llc = _match_args(args, "on_chip")
+    ref_sample, tgt_sample, llc = _match_args(args)
     # Work for the modelled problem: a fault-free solve fixes the iteration count.
     a, b = _build_problem(args)
     _, solve_report = cg_solve(a, b, SolveConfig())
@@ -412,7 +412,6 @@ def build_parser() -> _Parser:
     iso.add_argument("--target", type=_address("machine:freq", bare=True), required=True,
                      help="target cluster, machine[:freq]")
     iso.add_argument("--data", default=None, help="samples.csv or data directory")
-    iso.add_argument("--problem-class", choices=list(PROBLEM_CLASSES), default="on_chip")
     iso.add_argument("--hybrid", action="store_true",
                      help="compose reliable ref cluster + n unreliable target clusters")
     iso.add_argument("--ss-fraction", type=_fraction, default=None,

@@ -40,8 +40,6 @@ PROVENANCES = ("paper", "derived", "user")
 MACHINES_FILENAME = "machines.ini"
 SAMPLES_FILENAME = "samples.csv"
 
-DATA_DIR_ENV = "ISOCG_DATA_DIR"
-
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -352,10 +350,7 @@ def save_sampleset(sset: SampleSet, directory) -> None:
 
 
 def default_data_dir() -> Path:
-    """Bundled reference data directory, overridable via ISOCG_DATA_DIR."""
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override)
+    """Directory of the bundled reference data set."""
     return Path(__file__).parent / "data"
 
 

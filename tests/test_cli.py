@@ -255,17 +255,21 @@ class TestIso:
         assert err.endswith(f": {data!r}\n")
 
     def test_data_dir_override(self, capsys, tmp_path, monkeypatch):
+        """No environment variable overrides the data set: a query reads --data or
+        the bundled files."""
         data = load_sampleset(default_data_dir())
         save_sampleset(data, tmp_path)
         text = (tmp_path / "samples.csv").read_text()
-        # double the a15 throughput in the override directory
-        text = text.replace("a15,4,1.6,on_chip,2.1,5.49,paper",
-                            "a15,4,1.6,on_chip,4.2,5.49,paper")
-        (tmp_path / "samples.csv").write_text(text)
+        # double the a15 throughput in the copy
+        doubled = text.replace("a15,4,1.6,on_chip,2.1,5.49,paper",
+                               "a15,4,1.6,on_chip,4.2,5.49,paper")
+        assert doubled != text
+        (tmp_path / "samples.csv").write_text(doubled)
         monkeypatch.setenv("ISOCG_DATA_DIR", str(tmp_path))
-        doc = run_cli_json(capsys, "iso", "--mode", "perf", "--ref", "xeon:8:2.0",
-                           "--target", "a15:1.6", "--json")
-        assert doc["cluster_count"] == pytest.approx(19.11 / 4.2, rel=1e-12)
+        query = ("iso", "--mode", "perf", "--ref", "xeon:8:2.0", "--target", "a15:1.6", "--json")
+        assert run_cli_json(capsys, *query)["cluster_count"] == pytest.approx(9.1, rel=1e-12)
+        named = run_cli_json(capsys, *query, "--data", str(tmp_path))
+        assert named["cluster_count"] == pytest.approx(19.11 / 4.2, rel=1e-12)
 
     def test_explicit_data_csv_path(self, capsys, tmp_path):
         save_sampleset(load_sampleset(default_data_dir()), tmp_path)
@@ -469,8 +473,10 @@ class TestMachineAddress:
             (["iso", "--mode", "capacity", "--ref", "a15:0.8", "--target", "a7"],
              "isocg iso: error: argument --ref: expected machine or machine:cores:freq, "
              "got 'a15:0.8'"),
+            (["iso", "--mode", "capacity", "--ref", "a15:x:1.6", "--target", "a7"],
+             "isocg iso: error: argument --ref: bad cores/freq in 'a15:x:1.6'"),
         ],
-        ids=["ets-target-with-cores", "iso-ref-without-cores"],
+        ids=["ets-target-with-cores", "iso-ref-without-cores", "iso-ref-non-numeric-cores"],
     )
     def test_exit_64_with_one_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -1170,8 +1176,7 @@ _ARGV = st.one_of(
     _argv("solve-ss", {}, {**_SOLVE, **_SS}, [[], ["--json"]]),
     _argv("iso", {"mode": st.sampled_from(["perf", "power", "capacity", "bogus"]),
                   "ref": _REFS, "target": _TARGETS},
-          {"data": _DATA, "ss-fraction": _NUMBERS,
-           "problem-class": st.sampled_from(["on_chip", "off_chip"])},
+          {"data": _DATA, "ss-fraction": _NUMBERS},
           [[], ["--hybrid"], ["--json"], ["--csv"], ["--hybrid", "--csv"]]),
     _argv("ets", {"size": _SIZES},
           {"ref": _REFS, "target": _TARGETS, "data": _DATA, "ss-fraction": _NUMBERS, "seed": _INTS,

@@ -98,8 +98,9 @@ class TestGemv:
             (lambda: gemv(np.eye(3), np.ones(4)), "matrix has 3 columns but vector has length 4"),
             (lambda: gemv(np.ones((2, 3)), np.ones(3)), r"square matrix, got shape \(2, 3\)"),
             (lambda: PreparedMatrix(np.ones((1, 5))), r"square matrix, got shape \(1, 5\)"),
+            (lambda: PreparedMatrix(np.empty((0, 0))), "matrices must have at least one element"),
         ],
-        ids=["vector-length", "gemv-2x3", "prepared-1x5"],
+        ids=["vector-length", "gemv-2x3", "prepared-1x5", "prepared-0x0"],
     )
     def test_dimension_mismatch(self, call, message):
         with pytest.raises(DimensionMismatchError, match=message):

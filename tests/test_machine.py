@@ -191,6 +191,14 @@ class TestSampleSet:
             PerfSample("m", 4, 1.0, "on_chip", 0.0, 1.0)
         with pytest.raises(ValueError):
             PerfSample("m", 4, 1.0, "on_chip", 1.0, 1.0, "guessed")
+        with pytest.raises(ValueError, match="cores_per_unit must be >= 1"):
+            MachineSpec("m", 0, 1.0, 2.0, MIB, 1.0)
+        with pytest.raises(ValueError, match="frequencies must be positive"):
+            MachineSpec("m", 4, 0.0, 2.0, MIB, 1.0)
+        with pytest.raises(ValueError, match="stream_bandwidth_gbs must be positive"):
+            MachineSpec("m", 4, 1.0, 2.0, MIB, -1.0)
+        with pytest.raises(ValueError, match="active_cores must be >= 1"):
+            PerfSample("m", 0, 1.0, "on_chip", 1.0, 1.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_values_rejected(self, value):
@@ -207,6 +215,11 @@ class TestLoadSave:
         save_sampleset(bundled_data, tmp_path / "out")
         again = load_sampleset(tmp_path / "out")
         assert again == bundled_data
+        # a blank line between rows is skipped
+        samples = tmp_path / "out" / "samples.csv"
+        header, first, rest = samples.read_text().split("\n", 2)
+        samples.write_text(f"{header}\n{first}\n\n{rest}")
+        assert load_sampleset(tmp_path / "out") == bundled_data
 
     def test_save_is_byte_stable(self, bundled_data, tmp_path):
         save_sampleset(bundled_data, tmp_path / "one")
@@ -215,8 +228,7 @@ class TestLoadSave:
         for name in ("machines.ini", "samples.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
-    def test_bundled_files_re_save_byte_for_byte(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("ISOCG_DATA_DIR", raising=False)
+    def test_bundled_files_re_save_byte_for_byte(self, tmp_path):
         save_sampleset(bundled_sampleset(), tmp_path)
         for name in ("machines.ini", "samples.csv"):
             assert (tmp_path / name).read_bytes() == (default_data_dir() / name).read_bytes()
@@ -264,16 +276,18 @@ class TestLoadSave:
         assert ":2:" in str(excinfo.value)
 
     def test_parse_error_names_line(self, tmp_path):
-        body = self.HEADER + "box,4,fast,on_chip,1.0,2.0,user\n"
-        with pytest.raises(SampleSetError) as excinfo:
-            load_sampleset(self._write(tmp_path, body))
-        assert ":2:" in str(excinfo.value)
+        for row, message in [("box,4,fast,on_chip,1.0,2.0,user", ":2: bad freq_ghz 'fast'"),
+                             ("box,4,2.0,on_chip,1.0,2.0", ":2: expected 7 fields, got 6")]:
+            with pytest.raises(SampleSetError) as excinfo:
+                load_sampleset(self._write(tmp_path, self.HEADER + row + "\n"))
+            assert message in str(excinfo.value)
 
     def test_bad_header_rejected(self, tmp_path):
-        body = "machine,cores\nbox,4\n"
-        with pytest.raises(SampleSetError) as excinfo:
-            load_sampleset(self._write(tmp_path, body))
-        assert ":1:" in str(excinfo.value)
+        for body, message in [("machine,cores\nbox,4\n", ":1: bad header"),
+                              ("", ":1: empty samples file")]:
+            with pytest.raises(SampleSetError) as excinfo:
+                load_sampleset(self._write(tmp_path, body))
+            assert message in str(excinfo.value)
 
     def test_bad_machine_field(self, tmp_path):
         (tmp_path / "machines.ini").write_text(
